@@ -10,15 +10,13 @@ import configparser
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .hydrogenics import AtomicState, QuadratureSpec
+from .hydrogenics import AtomicState
 from .transitions import DefectTable
 
 __all__ = [
-    "RunConfig",
     "load_defect_table",
     "available_species",
     "parse_state_token",
@@ -35,17 +33,6 @@ CONFIG_ENV_VAR = "GRAVATOM_CONFIG"
 # letters are omitted rather than guessed)
 ORBITAL_LETTERS = "spdfghiklmnoqrtuvwxyz"
 _L_BY_LETTER = {c: i for i, c in enumerate(ORBITAL_LETTERS)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    species: str = "hydrogen"
-    defect_table: DefectTable = field(default_factory=DefectTable)
-    strain: float = 0.0
-    quadrature: QuadratureSpec = QuadratureSpec()
-    output_format: str = "csv"
-    output_path: str = "-"
-    stamp: bool = False
 
 
 def _config_paths(explicit: str | None) -> list[Path]:
@@ -142,10 +129,11 @@ def parse_frequency(text: str) -> float:
         )
     value = float(m.group(1))
     unit = m.group(2)
-    if unit == "rad/s":
-        return value
-    factor = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}[unit]
-    return 2.0 * math.pi * value * factor
+    if unit != "rad/s":
+        value = 2.0 * math.pi * value * {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}[unit]
+    if not math.isfinite(value):
+        raise ValueError(f"frequency {text!r} is not a finite number")
+    return value
 
 
 _ENERGY_RE = re.compile(r"^([-+0-9.eE]+)\s*(Hartree|hartree|eV|ev)$")

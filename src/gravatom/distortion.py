@@ -30,11 +30,9 @@ from .hydrogenics import (
     AtomicState,
     QuadratureConvergenceError,
     QuadratureSpec,
-    RadialScheme,
     fsum_dot,
     gauss_laguerre_scaled,
     gauss_legendre_nodes,
-    integrate_halfline_adaptive,
     laguerre,
     laguerre_increment,
     legendre,
@@ -75,9 +73,6 @@ class Strain:
     def __post_init__(self) -> None:
         if not abs(self.s_p) < 0.5:
             raise ValueError(f"strain map degenerates for |s_p| >= 0.5, got {self.s_p}")
-
-    def angular_factor(self, theta) -> float:
-        return strain_factor(theta, self)
 
 
 class DecompositionMethod(enum.Enum):
@@ -142,23 +137,20 @@ class SpectralDecomposition:
 
 
 def strain_factor(theta, strain: Strain):
-    """Angular contraction factor A_theta of the in-plane strain map."""
-    sp = strain.s_p
-    if sp == 0.0:
-        # exact identity, not 1/sqrt(cos^2 + sin^2) rounding noise
-        out = np.ones_like(np.asarray(theta, dtype=float))
-        return float(out) if np.isscalar(theta) else out
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    ratio = (1.0 - sp) / (1.0 + sp)
-    out = (1.0 - sp) / np.sqrt(ct**2 + ratio**2 * st**2)
+    """Angular contraction factor A_theta of the in-plane strain map.
+
+    A = (1 - s_p) / sqrt(cos^2 + ratio^2 sin^2), ratio = (1 - s_p) / (1 + s_p),
+    evaluated as 1 minus the cancellation-free deviation 1 - A.
+    """
+    out = 1.0 - _strain_deviation_cos(np.cos(theta), strain.s_p)
     return float(out) if np.isscalar(theta) else out
 
 
 def _strain_deviation_cos(ct, sp: float):
     """1 - A for the strain map parametrized by cos(theta), without cancellation.
 
-    With D = cos^2 + ratio^2 sin^2 = 1 - 4 s_p sin^2 / (1 + s_p)^2,
+    With D = cos^2 + ratio^2 sin^2 = 1 - 4 s_p sin^2 / (1 + s_p)^2 and
+    A = (1 - s_p) / sqrt(D),
         1 - A = (D - (1 - s_p)^2) / (sqrt(D) (sqrt(D) + 1 - s_p))
     and D - (1 - s_p)^2 = s_p (2 - s_p - 4 sin^2 / (1 + s_p)^2) is O(s_p).
     """
@@ -241,30 +233,13 @@ def _radial_deviation_transformed(
     return prefactor * np.array([math.fsum(row.tolist()) for row in weights * deviation])
 
 
-def _radial_deviation_adaptive(
-    target: AtomicState, source: AtomicState, one_minus_a: np.ndarray, tol: float
-) -> np.ndarray:
-    """I(A) - I(1) by adaptive panels, integrating each A and A = 1 separately."""
-    n, n0 = target.n, source.n
-    out = np.empty(len(one_minus_a) + 1)
-    for i, a in enumerate(np.append(1.0 - one_minus_a, 1.0)):
-        scale = 1.0 / (a / n0 + 1.0 / n)
-
-        def f(r: np.ndarray, a=a) -> np.ndarray:
-            return radial_wavefunction(target, r) * radial_wavefunction(source, r * a) * r**2
-
-        out[i] = integrate_halfline_adaptive(f, scale, tol)
-    return out[:-1] - out[-1]
+def _y_m0_cos(l: int, x: np.ndarray) -> np.ndarray:
+    """Y_l^0 as a function of x = cos(theta)."""
+    return math.sqrt((2 * l + 1) / (4 * math.pi)) * legendre(l, x)
 
 
 def _overlap_on_grid(
-    target: AtomicState,
-    source: AtomicState,
-    strain: Strain,
-    m_rad: int,
-    m_ang: int,
-    scheme: RadialScheme,
-    tol: float,
+    target: AtomicState, source: AtomicState, strain: Strain, m_rad: int, m_ang: int
 ) -> float:
     if (target.l + source.l) % 2:
         return 0.0  # Y_t Y_s is odd in x = cos(theta), I(A(x)) even
@@ -274,12 +249,9 @@ def _overlap_on_grid(
     # reproduce angular orthogonality only to roundoff, and projecting the
     # O(1) I(1) through them would bias C by ~1e-14 at every strain.  Only
     # the deviation I(A) - I(1) is projected; delta_ts is added analytically.
-    if scheme is RadialScheme.GAUSS_LAGUERRE_TRANSFORMED:
-        rad = _radial_deviation_transformed(target, source, one_minus_a, m_rad)
-    else:
-        rad = _radial_deviation_adaptive(target, source, one_minus_a, tol)
-    y_t = math.sqrt((2 * target.l + 1) / (4 * math.pi)) * legendre(target.l, x)
-    y_s = math.sqrt((2 * source.l + 1) / (4 * math.pi)) * legendre(source.l, x)
+    rad = _radial_deviation_transformed(target, source, one_minus_a, m_rad)
+    y_t = _y_m0_cos(target.l, x)
+    y_s = _y_m0_cos(source.l, x)
     delta_ts = 1.0 if target == source else 0.0
     return 2.0 * math.pi * fsum_dot(wx, y_t * y_s * rad) + delta_ts
 
@@ -302,8 +274,8 @@ def overlap_numeric(
     if target.m != 0 or source.m != 0:
         raise ValueError("overlap_numeric requires m = 0 states")
     args = (target, source, strain)
-    coarse = _overlap_on_grid(*args, quad.radial_node_count, quad.angular_node_count, quad.radial_scheme, quad.target_abs_tolerance)
-    fine = _overlap_on_grid(*args, 2 * quad.radial_node_count, 2 * quad.angular_node_count, quad.radial_scheme, quad.target_abs_tolerance)
+    coarse = _overlap_on_grid(*args, quad.radial_node_count, quad.angular_node_count)
+    fine = _overlap_on_grid(*args, 2 * quad.radial_node_count, 2 * quad.angular_node_count)
     if abs(fine - coarse) > quad.target_abs_tolerance:
         raise QuadratureConvergenceError(
             f"overlap {target} <- {source} did not converge: node doubling moved the "
@@ -312,18 +284,10 @@ def overlap_numeric(
     return fine
 
 
-def _norm_on_grid(source: AtomicState, strain: Strain, m_rad: int, m_ang: int) -> float:
+def _norm_on_grid(source: AtomicState, strain: Strain, m_ang: int) -> float:
     x, wx = _half_legendre_nodes(m_ang)
     a = 1.0 - _strain_deviation_cos(x, strain.s_p)
-    u, w_scaled = radial_nodes(m_rad, 1.0)
-    n0 = source.n
-    scales = n0 / (2.0 * a)  # decay e^{-2 r A / n0}
-    r = scales[:, None] * u[None, :]
-    integrand = radial_wavefunction(source, r * a[:, None]) ** 2 * r**2
-    weights = scales[:, None] * w_scaled[None, :]
-    rad = np.array([math.fsum(row.tolist()) for row in weights * integrand])
-    y2 = spherical_harmonic_m0(source.l, np.arccos(x)) ** 2
-    return 2.0 * math.pi * fsum_dot(wx, y2 * rad)
+    return 2.0 * math.pi * fsum_dot(wx, _y_m0_cos(source.l, x) ** 2 / a**3)
 
 
 def distorted_norm_numeric(
@@ -331,10 +295,13 @@ def distorted_norm_numeric(
 ) -> float:
     """Direct norm iint |psi'|^2 r^2 sin(theta) dr dtheta dphi.
 
-    The coordinate map is not unitary, so this is close to but not exactly 1.
+    The radial integral is exact: int R(r A)^2 r^2 dr = A^-3, so the norm is
+    2 pi int Y_l^2 A^-3 d(cos theta), done by Gauss-Legendre quadrature and
+    checked by angular node doubling.  The coordinate map is not unitary, so
+    this is close to but not exactly 1.
     """
-    coarse = _norm_on_grid(source, strain, quad.radial_node_count, quad.angular_node_count)
-    fine = _norm_on_grid(source, strain, 2 * quad.radial_node_count, 2 * quad.angular_node_count)
+    coarse = _norm_on_grid(source, strain, quad.angular_node_count)
+    fine = _norm_on_grid(source, strain, 2 * quad.angular_node_count)
     if abs(fine - coarse) > quad.target_abs_tolerance:
         raise QuadratureConvergenceError(
             f"distorted norm for {source} did not converge ({abs(fine - coarse):.3e})"

@@ -6,28 +6,24 @@ normalization fixed by int R_{n,l}^2 r^2 dr = 1.
 
 All quadrature reductions go through math.fsum, so on one platform results
 are bit-identical regardless of how callers parallelize.  Across platforms
-they agree only to roundoff: the Gauss nodes and weights come from LAPACK
-eigensolvers (numpy's leggauss, scipy's eigh_tridiagonal) whose last bits
-differ between builds, so values cannot be pinned bit for bit across
-platforms.
+they agree only to roundoff: the Gauss nodes come from numpy's LAPACK
+symmetric eigensolver (``leggauss``, and ``eigvalsh`` on the Laguerre Jacobi
+matrix) whose last bits differ between builds, so values cannot be pinned bit
+for bit across platforms.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "AtomicState",
     "QuadratureSpec",
-    "RadialScheme",
     "QuadratureConvergenceError",
     "laguerre",
     "laguerre_increment",
@@ -35,11 +31,9 @@ __all__ = [
     "radial_wavefunction",
     "radial_norm_constant",
     "spherical_harmonic_m0",
-    "gauss_nodes",
     "gauss_legendre_nodes",
     "gauss_laguerre_scaled",
     "radial_nodes",
-    "integrate_halfline_adaptive",
     "fsum_dot",
 ]
 
@@ -68,25 +62,20 @@ class AtomicState:
         return f"({self.n},{self.l},{self.m})"
 
 
-class RadialScheme(enum.Enum):
-    GAUSS_LAGUERRE_TRANSFORMED = "gauss_laguerre_transformed"
-    ADAPTIVE_PANEL = "adaptive_panel"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts and tolerance for the radial/angular quadratures."""
 
     radial_node_count: int = 200
     angular_node_count: int = 200
-    radial_scheme: RadialScheme = RadialScheme.GAUSS_LAGUERRE_TRANSFORMED
     target_abs_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.radial_node_count < 2 or self.angular_node_count < 2:
             raise ValueError("node counts must be >= 2")
-        if self.target_abs_tolerance <= 0:
-            raise ValueError("target_abs_tolerance must be > 0")
+        if not 0 < self.target_abs_tolerance < math.inf:
+            # nan or inf would switch the node-doubling check off
+            raise ValueError("target_abs_tolerance must be finite and > 0")
 
 
 def fsum_dot(weights: np.ndarray, values: np.ndarray) -> float:
@@ -183,9 +172,11 @@ def spherical_harmonic_m0(l: int, theta):
 
 @lru_cache(maxsize=32)
 def _gauss_laguerre_scaled_cached(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Golub-Welsch nodes for weight e^{-x}; Jacobi matrix a_k = 2k+1, b_k = k.
-    k = np.arange(m)
-    x = eigh_tridiagonal(2.0 * k + 1.0, np.arange(1, m, dtype=float), eigvals_only=True)
+    # Golub-Welsch nodes for weight e^{-x} (Math. Comp. 23, 221 (1969)): the
+    # eigenvalues of the Jacobi matrix with diagonal 2k+1 and off-diagonal k;
+    # eigvalsh reads only the lower triangle.
+    k = np.arange(m, dtype=float)
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], -1))
     # Scaled Christoffel weights w_i * e^{x_i} = 1 / sum_k (L_k(x_i) e^{-x_i/2})^2.
     # The standard Laguerre polynomials are orthonormal for weight e^{-x}; the
     # e^{-x/2} scaling keeps the recurrence in range, with an extra log-space
@@ -222,22 +213,14 @@ def gauss_laguerre_scaled(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _leggauss_cached(m: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1] (read-only, cached per m)."""
+    if m < 2:
+        raise ValueError(f"unsupported node count {m}")
     x, w = leggauss(m)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def gauss_legendre_nodes(m: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    if m < 2:
-        raise ValueError(f"unsupported node count {m}")
-    x, w = _leggauss_cached(m)
-    if a == -1.0 and b == 1.0:
-        return x, w
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
 
 
 def radial_nodes(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,57 +231,3 @@ def radial_nodes(m: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """
     x, w = gauss_laguerre_scaled(m)
     return scale * x, scale * w
-
-
-def gauss_nodes(spec: QuadratureSpec, interval) -> list[tuple[float, float]]:
-    """Nodes/weights for a finite interval (a, b) or the half line.
-
-    `interval` is either a (a, b) pair or the string "halfline"; the half-line
-    scheme uses the substitution u = 2r/(n a0) via `scale` = n/2, here exposed
-    with unit scale.
-    """
-    if interval == "halfline":
-        if spec.radial_scheme is RadialScheme.ADAPTIVE_PANEL:
-            raise ValueError("adaptive_panel has no fixed node set; use integrate_halfline_adaptive")
-        r, w = radial_nodes(spec.radial_node_count, 1.0)
-        return list(zip(r.tolist(), w.tolist()))
-    a, b = interval
-    x, w = gauss_legendre_nodes(spec.radial_node_count, a, b)
-    return list(zip(x.tolist(), w.tolist()))
-
-
-def integrate_halfline_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    decay_scale: float,
-    tol: float,
-    max_panels: int = 2000,
-) -> float:
-    """Adaptive-panel Gauss quadrature of f on [0, inf).
-
-    Panels are bisected until the 10- vs 21-point Gauss estimates agree within
-    the panel's share of `tol`.  The integrand must decay at least like
-    e^{-r/decay_scale}; the domain is truncated where that envelope reaches
-    1e-40 relative to the origin.
-    """
-    r_max = decay_scale * 100.0  # e^{-100} ~ 4e-44 tail cutoff
-    stack = [(0.0, r_max)]
-    total: list[float] = []
-    panels = 0
-    while stack:
-        a, b = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            raise QuadratureConvergenceError(
-                f"adaptive quadrature exceeded panel budget ({max_panels}) before reaching tol={tol}"
-            )
-        x10, w10 = gauss_legendre_nodes(10, a, b)
-        x21, w21 = gauss_legendre_nodes(21, a, b)
-        coarse = fsum_dot(w10, f(x10))
-        fine = fsum_dot(w21, f(x21))
-        if abs(fine - coarse) <= tol * max((b - a) / r_max, 1e-3):
-            total.append(fine)
-        else:
-            mid = 0.5 * (a + b)
-            stack.append((a, mid))
-            stack.append((mid, b))
-    return math.fsum(total)

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 from .distortion import (
     Strain,
@@ -162,7 +163,7 @@ def identity_report(
     seed: int = 20260823, points: int = 100, rel_tol: float = 1e-8
 ) -> tuple[list[Row], bool]:
     """Laguerre argument-scaling identity on a randomized grid."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst = 0.0
     worst_at = ""
     for _ in range(points):

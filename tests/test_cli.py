@@ -1,14 +1,22 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravatom
 from gravatom.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    _csv_field,
     main,
 )
 
@@ -72,6 +80,25 @@ class TestOutputContract:
         slope = float(row[9])
         assert repr(slope) == row[9]
         assert slope == pytest.approx(88.0 / 15.0, rel=1e-15)
+
+    def test_verify_rows_have_schema_width(self, capsys):
+        # the linearity report rows carry a field with a comma in it
+        _, out, _ = run(capsys, "verify", "--suite", "all")
+        lines = out.splitlines()
+        width = len(lines[0][len("# schema: "):].split(","))
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+        assert width == 7 and len(rows) > 16
+        assert [len(row) for row in rows] == [width] * len(rows)
+        assert "reported, not gated" in {field for row in rows for field in row}
+
+    @pytest.mark.parametrize("row", [
+        ("plain", 3, 0.1, -2.5e-300),
+        ("reported, not gated", 'say "hi"', "two\nlines", ""),
+    ])
+    def test_csv_field_quotes_as_csv_writer(self, row):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(row)
+        assert ",".join(_csv_field(v) for v in row) + "\n" == expected.getvalue()
 
 
 class TestDecompose:
@@ -241,3 +268,39 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "rabi", "--omega", "47", "--detuning-rad-s", "0",
                          "--time", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--cycles", "1e400"),
+        ("decompose", "--n", "175", "--l", "0", "--strain", "1e-3", "--method", "series"),
+        ("rabi", "--omega", "1e400Hz", "--detuning-rad-s", "1e-3", "--cycles", "10"),
+        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "nan", "--cycles", "10"),
+        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "inf"),
+        ("decompose", "--n", "2", "--l", "0", "--strain", "1e-3", "--method", "numeric",
+         "--tol", "nan"),
+    ], ids=["cycles-overflow", "series-overflow", "omega-inf", "detuning-nan", "time-inf",
+            "tol-nan"])
+    def test_overflow_and_non_finite_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip() and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,spaced", [
+        (("decompose", "--n", "3", "--l", "0"), ("--strain", "-2e-3")),
+        (("rabi", "--omega", "47kHz", "--cycles", "5"), ("--detuning-rad-s", "-1E+2")),
+    ])
+    def test_exponent_form_negative_values(self, capsys, argv, spaced):
+        code, out, _ = run(capsys, *argv, *spaced)
+        _, joined, _ = run(capsys, *argv, "=".join(spaced))
+        assert code == EXIT_OK
+        assert out == joined
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(gravatom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, gravatom.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

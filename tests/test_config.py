@@ -50,6 +50,11 @@ class TestFrequencyParsing:
         with pytest.raises(ValueError):
             parse_frequency(text)
 
+    @pytest.mark.parametrize("text", ["1e400Hz", "1e300GHz", "-1e400rad/s"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_frequency(text)
+
 
 class TestEnergyParsing:
     def test_hartree(self):

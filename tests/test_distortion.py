@@ -25,7 +25,6 @@ from gravatom.hydrogenics import (
     AtomicState,
     QuadratureConvergenceError,
     QuadratureSpec,
-    RadialScheme,
 )
 
 
@@ -239,17 +238,6 @@ class TestNumericOracle:
         ]
         assert vals[0] == pytest.approx(vals[1], rel=1e-3)
 
-    def test_adaptive_scheme_agrees_with_transformed(self):
-        quad_a = QuadratureSpec(
-            radial_node_count=60, angular_node_count=60,
-            radial_scheme=RadialScheme.ADAPTIVE_PANEL, target_abs_tolerance=1e-9,
-        )
-        quad_g = QuadratureSpec(radial_node_count=60, angular_node_count=60)
-        args = (AtomicState(3, 2), AtomicState(3, 0), Strain(1e-3))
-        assert overlap_numeric(*args, quad_a) == pytest.approx(
-            overlap_numeric(*args, quad_g), rel=1e-6, abs=1e-12
-        )
-
     def test_nonconvergence_raises(self):
         # absurdly tight tolerance at low node count cannot be certified
         quad = QuadratureSpec(
@@ -262,6 +250,19 @@ class TestNumericOracle:
         norm = distorted_norm_numeric(AtomicState(3, 0), Strain(1e-3), self.QUAD)
         assert norm == pytest.approx(1.0, abs=1e-2)
         assert norm != 1.0  # the map is not unitary
+
+    @pytest.mark.parametrize("n,l,sp", [(1, 0, 1e-3), (3, 2, -0.05), (6, 5, 0.2)])
+    def test_norm_matches_mpmath_reference(self, oracle_reference, n, l, sp):
+        # the radial integral of |R(r A)|^2 r^2 is A^-3, leaving a 1-D angular one
+        mp = oracle_reference.mp
+        with mp.workdps(30):
+            s = mp.mpf(sp)
+            expected = mp.mpf(2 * l + 1) / 2 * mp.quad(
+                lambda x: mp.legendre(l, x) ** 2 / oracle_reference.strain_factor(x, s) ** 3,
+                [-1, 0, 1],
+            )
+        norm = distorted_norm_numeric(AtomicState(n, l), Strain(sp))
+        assert norm == pytest.approx(float(expected), rel=1e-11)
 
     def test_decomposition_invariants(self):
         dec = numeric_decomposition(

@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from gravatom.hydrogenics import (
     AtomicState,
-    QuadratureConvergenceError,
     QuadratureSpec,
-    RadialScheme,
     fsum_dot,
     gauss_laguerre_scaled,
     gauss_legendre_nodes,
-    gauss_nodes,
-    integrate_halfline_adaptive,
     laguerre,
     laguerre_increment,
     legendre,
@@ -188,57 +184,19 @@ class TestGaussLaguerreScaled:
         assert fsum_dot(w, np.exp(-r / 3.0)) == pytest.approx(3.0, rel=1e-13)
 
 
-class TestGaussNodes:
-    def test_halfline_dispatch(self):
-        spec = QuadratureSpec(radial_node_count=40)
-        pairs = gauss_nodes(spec, "halfline")
-        assert len(pairs) == 40
-        val = math.fsum(w * math.exp(-x) for x, w in pairs)
-        assert val == pytest.approx(1.0, rel=1e-13)
-
-    def test_interval_dispatch(self):
-        spec = QuadratureSpec(radial_node_count=16)
-        pairs = gauss_nodes(spec, (0.0, 2.0))
-        val = math.fsum(w * x**3 for x, w in pairs)
-        assert val == pytest.approx(4.0, rel=1e-13)
-
-    def test_halfline_rejects_adaptive(self):
-        spec = QuadratureSpec(radial_scheme=RadialScheme.ADAPTIVE_PANEL)
-        with pytest.raises(ValueError):
-            gauss_nodes(spec, "halfline")
-
-
-class TestAdaptiveIntegrator:
-    def test_exponential(self):
-        val = integrate_halfline_adaptive(lambda r: np.exp(-r), 1.0, 1e-12)
-        assert val == pytest.approx(1.0, rel=1e-10)
-
-    def test_wavefunction_norm(self):
-        state = AtomicState(4, 1)
-        val = integrate_halfline_adaptive(
-            lambda r: radial_wavefunction(state, r) ** 2 * r**2, 2.0, 1e-12
-        )
-        assert val == pytest.approx(1.0, rel=1e-10)
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(QuadratureConvergenceError):
-            integrate_halfline_adaptive(
-                lambda r: np.sin(50.0 * r) * np.exp(-r), 1.0, 1e-14, max_panels=3
-            )
-
-
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.radial_node_count == 200
         assert spec.angular_node_count == 200
-        assert spec.radial_scheme is RadialScheme.GAUSS_LAGUERRE_TRANSFORMED
         assert spec.target_abs_tolerance == 1e-10
 
     @pytest.mark.parametrize("kwargs", [
         {"radial_node_count": 1},
         {"angular_node_count": 0},
         {"target_abs_tolerance": 0.0},
+        {"target_abs_tolerance": math.nan},
+        {"target_abs_tolerance": math.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
