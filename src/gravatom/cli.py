@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Sequence
 
 from . import __version__, constants
@@ -371,7 +372,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = _Parser(
         prog="gravatom",
         description="Hydrogen-like atoms under a weak gravitational-wave strain.",

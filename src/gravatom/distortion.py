@@ -6,9 +6,10 @@ separate:
 * ``numeric`` -- brute-force 2D quadrature of the exact distorted
   wavefunction against each basis state.  This is the ground truth.
 * ``series`` -- the k-expansion obtained from the Laguerre argument-scaling
-  identity plus the small-strain approximations.  Its radial factor is
-  evaluated as a numeric integral that is algebraically equivalent to the
-  published closed forms (see ``_series_radial_factor``).
+  identity plus the small-strain approximations.  Its angular components
+  (``theta_fraction``) and radial factors (``_series_radial_factor``, a
+  Laguerre norm in closed form) are exact rationals rounded once, so this
+  route uses no quadrature.
 * ``closed form`` -- the printed first-order coefficients C0, C+2, C-2.
 
 The series and closed-form routes agree with each other by construction; the
@@ -22,6 +23,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +38,6 @@ from .hydrogenics import (
     laguerre,
     laguerre_increment,
     legendre,
-    radial_nodes,
     radial_norm_constant,
     radial_wavefunction,
     spherical_harmonic_m0,
@@ -53,6 +54,7 @@ __all__ = [
     "overlap_numeric",
     "distorted_norm_numeric",
     "numeric_decomposition",
+    "theta_fraction",
     "theta_component",
     "closed_form_coefficients",
     "closed_form_decomposition",
@@ -336,20 +338,35 @@ def numeric_decomposition(
 
 
 @lru_cache(maxsize=None)
-def theta_component(k: int, l: int) -> float:
-    """Angular component Theta_{k,l} = (1/2) int_-1^1 (2x^2 - 1)^k P_l(x) dx.
+def theta_fraction(k: int, l: int) -> Fraction:
+    """Angular component Theta_{k,l} = (1/2) int_-1^1 (2x^2 - 1)^k P_l(x) dx, exactly.
 
-    Exactly zero for odd l (parity) and for l > 2k (orthogonality).
+    Term by term over (2x^2 - 1)^k = sum_i C(k, i) (-1)^(k-i) 2^i x^(2i) and
+    P_l(x) = 2^-l sum_j (-1)^j C(l, j) C(2l - 2j, l) x^(l-2j), with
+    (1/2) int_-1^1 x^p dx = 1 / (p + 1) for even p.  Exactly zero for odd l
+    (parity) and for l > 2k (orthogonality).
     """
     if k < 0 or k > 12:
         raise ValueError(f"k must be in [0, 12], got {k}")
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     if l % 2 == 1 or l > 2 * k:
-        return 0.0
-    # integrand is a polynomial of degree 2k + l <= 36; 64 nodes are exact
-    x, w = gauss_legendre_nodes(64)
-    return 0.5 * fsum_dot(w, (2.0 * x**2 - 1.0) ** k * legendre(l, x))
+        return Fraction(0)
+    return sum(
+        Fraction(
+            (-1) ** (k - i + j) * math.comb(k, i) * 2**i
+            * math.comb(l, j) * math.comb(2 * l - 2 * j, l),
+            2**l * (2 * i + l - 2 * j + 1),
+        )
+        for i in range(k + 1)
+        for j in range(l // 2 + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def theta_component(k: int, l: int) -> float:
+    """Theta_{k,l} correctly rounded to float (see theta_fraction)."""
+    return float(theta_fraction(k, l))
 
 
 def closed_form_coefficients(source: AtomicState, strain: Strain) -> ClosedFormCoefficients:
@@ -439,25 +456,21 @@ def closed_form_decomposition(source: AtomicState, strain: Strain) -> SpectralDe
 def _series_radial_factor(n0: int, k: int, l: int) -> float:
     """Radial factor of the k-expansion, published-algebra normalization.
 
-    Evaluated as
         sqrt((n0-1)! (n0-l-1)! / [n0! (n0+l)!]^3) * ((n0+k)!)^2
             * int_0^inf e^{-x} x^{k+l+1} [L_{n0-l-1}^{k+l+1}(x)]^2 dx
-    with the integral done by (exact) Gauss quadrature.  This is algebraically
-    identical to the published closed-form radial result; the honest
-    modern-convention overlap with measure r^2 dr does NOT reproduce it, which
-    is exactly the approximation gap the numeric oracle route measures.
+    The integral is the Laguerre norm (n0+k)! / (n0-l-1)! (DLMF 18.3), so the
+    factor is P^3 sqrt(F / Q^3) with P = (n0+k)!/n0!, F = (n0-1)!/(n0-l-1)!
+    and Q = (n0+l)!/n0!, evaluated as one correctly rounded rational and one
+    correctly rounded square root.  F, and with it the factor, is 0 for
+    l > n0 - 1.  This is algebraically identical to the published closed-form
+    radial result; the honest modern-convention overlap with measure r^2 dr
+    does NOT reproduce it, which is exactly the approximation gap the numeric
+    oracle route measures.
     """
-    if l > n0 - 1:
-        return 0.0
-    prefactor = math.sqrt(
-        math.factorial(n0 - 1)
-        * math.factorial(n0 - l - 1)
-        / (math.factorial(n0) * math.factorial(n0 + l)) ** 3
-    ) * math.factorial(n0 + k) ** 2
-    # polynomial degree 2(n0 - l - 1) + k + l + 1; 200 nodes cover n0 well past 80
-    x, w = radial_nodes(200, 1.0)
-    integral = fsum_dot(w, x ** (k + l + 1) * laguerre(n0 - l - 1, k + l + 1, x) ** 2 * np.exp(-x))
-    return prefactor * integral
+    p = math.prod(range(n0 + 1, n0 + k + 1))
+    f = math.prod(range(n0 - l, n0))
+    q = math.prod(range(n0 + 1, n0 + l + 1))
+    return math.sqrt(Fraction(p**6 * f, q**3))
 
 
 def series_decomposition(source: AtomicState, strain: Strain, k_max: int) -> SpectralDecomposition:

@@ -8,8 +8,12 @@ All quadrature reductions go through math.fsum, so on one platform results
 are bit-identical regardless of how callers parallelize.  Across platforms
 they agree only to roundoff: the Gauss nodes come from numpy's LAPACK
 symmetric eigensolver (``leggauss``, and ``eigvalsh`` on the Laguerre Jacobi
-matrix) whose last bits differ between builds, so values cannot be pinned bit
-for bit across platforms.
+matrix) whose last bits differ between builds.  Only the numeric oracle and
+the ``basis`` verification suite use these rules.  The series route, the
+closed forms and the Table-1 angular components need no nodes: the angular
+components and series radial factors are exact rationals rounded once, the
+same on every platform, and the rest is IEEE double arithmetic, math.sqrt
+and the C library's pow.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
+    "MAX_NODE_COUNT",
     "AtomicState",
     "QuadratureSpec",
     "QuadratureConvergenceError",
@@ -62,6 +67,11 @@ class AtomicState:
         return f"({self.n},{self.l},{self.m})"
 
 
+#: Largest node count a QuadratureSpec accepts.  Both rules come from dense
+#: eigenproblems of twice that size (node doubling), so memory grows as m^2.
+MAX_NODE_COUNT = 1024
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts and tolerance for the radial/angular quadratures."""
@@ -71,8 +81,9 @@ class QuadratureSpec:
     target_abs_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.radial_node_count < 2 or self.angular_node_count < 2:
-            raise ValueError("node counts must be >= 2")
+        for count in (self.radial_node_count, self.angular_node_count):
+            if not 2 <= count <= MAX_NODE_COUNT:
+                raise ValueError(f"node counts must be in [2, {MAX_NODE_COUNT}], got {count}")
         if not 0 < self.target_abs_tolerance < math.inf:
             # nan or inf would switch the node-doubling check off
             raise ValueError("target_abs_tolerance must be finite and > 0")

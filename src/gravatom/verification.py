@@ -20,6 +20,7 @@ from .distortion import (
     laguerre_shift_identity_check,
     overlap_numeric,
     theta_component,
+    theta_fraction,
 )
 from .hydrogenics import (
     AtomicState,
@@ -73,46 +74,12 @@ def table1_report() -> tuple[list[Row], bool]:
         err = abs(computed - float(printed))
         passed = err <= THETA_TOLERANCE
         ok = ok and passed
-        note = ""
-        if not passed:
-            exact = _theta_exact_fraction(k, l)
-            note = f"defining integral evaluates to {exact} exactly"
+        note = "" if passed else f"defining integral evaluates to {theta_fraction(k, l)} exactly"
         rows.append(
             ("table1", f"theta_k{k}_l{l}", "pass" if passed else "fail",
              repr(computed), str(printed), repr(err), note)
         )
     return rows, ok
-
-
-def _theta_exact_fraction(k: int, l: int) -> Fraction:
-    # (1/2) int_-1^1 (2x^2-1)^k P_l(x) dx in exact rational arithmetic
-    from fractions import Fraction as F
-
-    # coefficients of (2x^2-1)^k
-    poly = {0: F(1)}
-    for _ in range(k):
-        nxt: dict[int, F] = {}
-        for p, c in poly.items():
-            nxt[p + 2] = nxt.get(p + 2, F(0)) + 2 * c
-            nxt[p] = nxt.get(p, F(0)) - c
-        poly = nxt
-    # P_l coefficients by recurrence
-    pl_prev = {0: F(1)}
-    pl = {1: F(1)} if l >= 1 else pl_prev
-    for kk in range(1, l):
-        nxt = {}
-        for p, c in pl.items():
-            nxt[p + 1] = nxt.get(p + 1, F(0)) + F(2 * kk + 1, kk + 1) * c
-        for p, c in pl_prev.items():
-            nxt[p] = nxt.get(p, F(0)) - F(kk, kk + 1) * c
-        pl_prev, pl = pl, nxt
-    total = F(0)
-    for p1, c1 in poly.items():
-        for p2, c2 in pl.items():
-            p = p1 + p2
-            if p % 2 == 0:
-                total += c1 * c2 * F(2, p + 1)
-    return total / 2
 
 
 def radial_overlap_1d(n: int, np_: int, l: int, nodes: int = 64) -> float:

@@ -133,6 +133,21 @@ class TestDecompose:
         rows = data_rows(out)
         assert [int(r[2]) for r in rows] == [0, 2]
 
+    def test_series_n175_is_exact(self, capsys, series_reference):
+        # the radial factor's factorials overflowed float here before it was
+        # taken in closed form
+        code, out, err = run(capsys, "decompose", "--n", "175", "--l", "0",
+                             "--strain", "1e-3", "--method", "series")
+        assert code == EXIT_OK and err == ""
+        rows = data_rows(out)
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            ("paper_series", "175", str(l)) for l in (0, 2, 4, 6)]
+        for r in rows:
+            c = float(r[4])
+            assert math.isfinite(c)
+            ref = series_reference(175, int(r[2]), 1e-3, 3)
+            assert abs(c - ref) <= 1e-12 * abs(ref), r
+
     def test_numeric_nonconvergence_exit_3(self, capsys):
         code, _, err = run(capsys, "decompose", "--n", "6", "--l", "0",
                            "--strain", "1e-2", "--method", "numeric",
@@ -233,6 +248,14 @@ class TestVerify:
         assert [(r[1]) for r in failing] == ["theta_k3_l0"]
         assert "-9/35" in failing[0][6]
 
+    def test_table1_residuals_exact(self, capsys):
+        _, out, _ = run(capsys, "verify", "--suite", "table1")
+        rows = {r[1]: r for r in data_rows(out)}
+        failing = rows.pop("theta_k3_l0")
+        assert failing[2] == "fail" and float(failing[5]) == abs(-9 / 35 + 9 / 15)
+        assert len(rows) == 15
+        assert all(r[2] == "pass" and r[5] == "0.0" for r in rows.values())
+
     def test_basis_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "basis")
         assert code == EXIT_OK
@@ -271,19 +294,26 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--cycles", "1e400"),
-        ("decompose", "--n", "175", "--l", "0", "--strain", "1e-3", "--method", "series"),
         ("rabi", "--omega", "1e400Hz", "--detuning-rad-s", "1e-3", "--cycles", "10"),
         ("rabi", "--omega", "47kHz", "--detuning-rad-s", "nan", "--cycles", "10"),
         ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "inf"),
         ("decompose", "--n", "2", "--l", "0", "--strain", "1e-3", "--method", "numeric",
          "--tol", "nan"),
-    ], ids=["cycles-overflow", "series-overflow", "omega-inf", "detuning-nan", "time-inf",
-            "tol-nan"])
+    ], ids=["cycles-overflow", "omega-inf", "detuning-nan", "time-inf", "tol-nan"])
     def test_overflow_and_non_finite_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.strip() and "Traceback" not in err
+
+    @pytest.mark.parametrize("nodes", [("1025", "4"), ("4", "1025")])
+    def test_node_counts_bounded(self, capsys, nodes):
+        code, out, err = run(capsys, "decompose", "--n", "2", "--l", "0", "--strain", "1e-3",
+                             "--method", "numeric", "--angular-nodes", nodes[0],
+                             "--radial-nodes", nodes[1])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "1024" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv,spaced", [
         (("decompose", "--n", "3", "--l", "0"), ("--strain", "-2e-3")),

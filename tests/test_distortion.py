@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from gravatom.distortion import (
     series_decomposition,
     strain_factor,
     theta_component,
+    theta_fraction,
 )
+from gravatom import distortion, hydrogenics, verification
 from gravatom.hydrogenics import (
     AtomicState,
     QuadratureConvergenceError,
@@ -108,6 +111,13 @@ class TestThetaComponent:
         with pytest.raises(ValueError):
             theta_component(-1, 0)
 
+    def test_correctly_rounded_exact_value(self, exact_theta):
+        for k in range(13):
+            for l in range(2 * k + 3):
+                exact = exact_theta(k, l)
+                assert theta_fraction(k, l) == exact, (k, l)
+                assert theta_component(k, l) == float(exact), (k, l)
+
 
 class TestClosedForm:
     def test_slopes_n3(self):
@@ -169,6 +179,35 @@ class TestSeriesRoute:
     def test_odd_l_absent(self):
         sd = series_decomposition(AtomicState(5, 0), Strain(1e-3), k_max=3)
         assert all(s.l % 2 == 0 for s, _ in sd.entries)
+
+    @pytest.mark.parametrize("k_max", [1, 3, 12])
+    @pytest.mark.parametrize("n0", [2, 7, 30])
+    def test_matches_exact_reference(self, series_reference, n0, k_max):
+        # strains keep the first-order change s_p (n0+1)^3 / 3 below 1%
+        for sp in (1e-2 / (n0 + 1) ** 3, -3e-3 / (n0 + 1) ** 3):
+            sd = series_decomposition(AtomicState(n0, 0), Strain(sp), k_max=k_max)
+            assert [s.l for s, _ in sd.entries] == list(range(0, min(2 * k_max, n0 - 1) + 1, 2))
+            for state, c in sd.entries:
+                ref = series_reference(n0, state.l, sp, k_max)
+                assert abs(c - ref) <= 1e-14 * abs(ref), (state, sp)
+
+    def test_series_and_table1_use_no_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature rule was requested")
+
+        for module in (hydrogenics, distortion, verification):
+            for name in ("gauss_legendre_nodes", "gauss_laguerre_scaled", "radial_nodes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_quadrature)
+        for cached in (theta_fraction, theta_component, distortion._series_radial_factor):
+            cached.cache_clear()
+        with pytest.raises(AssertionError):  # the patch reaches the oracle
+            overlap_numeric(AtomicState(2, 0), AtomicState(2, 0), Strain(1e-3))
+        for n0 in (2, 7, 30, 175):
+            sd = series_decomposition(AtomicState(n0, 0), Strain(1e-9), k_max=12)
+            assert all(math.isfinite(c) for _, c in sd.entries)
+        rows, ok = verification.table1_report()
+        assert len(rows) == 16 and not ok
 
 
 class TestLaguerreShiftIdentity:

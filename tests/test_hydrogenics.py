@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravatom.hydrogenics import (
+    MAX_NODE_COUNT,
     AtomicState,
     QuadratureSpec,
     fsum_dot,
@@ -197,10 +198,16 @@ class TestQuadratureSpec:
         {"target_abs_tolerance": 0.0},
         {"target_abs_tolerance": math.nan},
         {"target_abs_tolerance": math.inf},
+        {"radial_node_count": 1025},
+        {"angular_node_count": 1025},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_largest_node_count_accepted(self):
+        spec = QuadratureSpec(radial_node_count=MAX_NODE_COUNT, angular_node_count=MAX_NODE_COUNT)
+        assert spec.radial_node_count == spec.angular_node_count == 1024
 
 
 class TestFsumDot:
