@@ -446,6 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_text(exc: Exception) -> str:
+    """An error's message: str() quotes a KeyError's, and float ** raises
+    OverflowError(errno, strerror), whose text is the second argument."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    if isinstance(exc, OverflowError) and len(exc.args) == 2:
+        return str(exc.args[1])
+    return str(exc)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -459,8 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"gravatom: quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OverflowError, KeyError, FileNotFoundError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"gravatom: {message}", file=sys.stderr)
+        print(f"gravatom: {_error_text(exc)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,6 +14,10 @@ closed forms and the Table-1 angular components need no nodes: the angular
 components and series radial factors are exact rationals rounded once, the
 same on every platform, and the rest is IEEE double arithmetic, math.sqrt
 and the C library's pow.
+
+The Laguerre and Legendre recurrences take a scalar or an array.  A scalar
+runs the same loop in Python floats; IEEE +, -, * and / round alike in Python
+and numpy, so it gives the same bits as a one-element array.
 """
 
 from __future__ import annotations
@@ -94,24 +98,34 @@ def fsum_dot(weights: np.ndarray, values: np.ndarray) -> float:
     return math.fsum((weights * values).tolist())
 
 
+def _float_or_array(x):
+    """x as a Python float (scalar input) or a float ndarray, with the matching 1.
+
+    The recurrences run on either unchanged; a scalar stays a Python float so a
+    single value costs no numpy calls.
+    """
+    if np.isscalar(x):
+        return float(x), 1.0
+    x = np.asarray(x, dtype=float)
+    return x, np.ones_like(x)
+
+
 def laguerre(order: int, alpha: int, x):
     """Generalized Laguerre polynomial L_order^alpha(x), three-term recurrence.
 
-    Accepts scalar or ndarray x; returns the matching type.
+    Accepts scalar or ndarray x; returns a float or an ndarray to match.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
+    x, prev = _float_or_array(x)
     if order == 0:
-        return float(prev) if scalar else prev
+        return prev
     cur = 1.0 + alpha - x
     for k in range(1, order):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return float(cur) if scalar else cur
+    return cur
 
 
 def laguerre_increment(order: int, alpha: int, x, h):
@@ -147,15 +161,13 @@ def legendre(l: int, x):
     """Legendre polynomial P_l(x) by the stable three-term recurrence."""
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
+    x, prev = _float_or_array(x)
     if l == 0:
-        return float(prev) if scalar else prev
-    cur = x.copy()
+        return prev
+    cur = x.copy() if isinstance(x, np.ndarray) else x
     for k in range(1, l):
         prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
-    return float(cur) if scalar else cur
+    return cur
 
 
 def radial_norm_constant(n: int, l: int) -> float:

@@ -25,10 +25,9 @@ from .distortion import (
 from .hydrogenics import (
     AtomicState,
     QuadratureSpec,
-    fsum_dot,
+    gauss_laguerre_scaled,
     gauss_legendre_nodes,
     legendre,
-    radial_nodes,
     radial_wavefunction,
 )
 from .transitions import (
@@ -82,20 +81,65 @@ def table1_report() -> tuple[list[Row], bool]:
     return rows, ok
 
 
-def radial_overlap_1d(n: int, np_: int, l: int, nodes: int = 64) -> float:
-    """int R_{n,l} R_{n',l} r^2 dr by exact transformed quadrature."""
-    scale = 1.0 / (1.0 / n + 1.0 / np_)
-    r, w = radial_nodes(nodes, scale)
-    a = AtomicState(n, l)
-    b = AtomicState(np_, l)
-    return fsum_dot(w, radial_wavefunction(a, r) * radial_wavefunction(b, r) * r**2)
+def radial_overlaps(
+    n_max: int, l_max: int, nodes: int = 64
+) -> dict[tuple[int, int, int], float]:
+    """int R_{n,l} R_{n',l} r^2 dr for every l <= l_max and l < n <= n' <= n_max.
+
+    Keyed (n, n', l) in l, n, n' order.  Each pair uses the exact transformed
+    Laguerre rule at scale 1/(1/n + 1/n'), and each is reduced by its own
+    exactly rounded fsum, so every value is bit-identical to the pair
+    evaluated on its own.
+    """
+    u, w = gauss_laguerre_scaled(nodes)
+    out: dict[tuple[int, int, int], float] = {}
+    for l in range(min(l_max, n_max - 1) + 1):
+        out.update(_radial_overlaps_at(l, n_max, u, w))
+    return out
 
 
-def spherical_overlap(l: int, lp: int, nodes: int = 64) -> float:
-    """2 pi int Y_l^0 Y_l'^0 sin(theta) dtheta (the phi integral folded in)."""
+def _radial_overlaps_at(l: int, n_max: int, u: np.ndarray, w: np.ndarray) -> dict:
+    """All pairs of one l on one (pairs x nodes) grid.
+
+    R_{n,l} is evaluated once on the rows where n is the first factor and once
+    where it is the second.
+    """
+    pairs = [(n, np_) for n in range(l + 1, n_max + 1) for np_ in range(n, n_max + 1)]
+    first, second = np.array(pairs).T
+    scale = np.array([1.0 / (1.0 / n + 1.0 / np_) for n, np_ in pairs])[:, None]
+    r = scale * u
+    left, right = np.empty_like(r), np.empty_like(r)
+    for n in range(l + 1, n_max + 1):
+        state = AtomicState(n, l)
+        for factor, rows in ((left, first == n), (right, second == n)):
+            factor[rows] = radial_wavefunction(state, r[rows])
+    # w * ((R R') * r^2) as one pair computes it, in place: same bits, less memory
+    products = left
+    products *= right
+    products *= r**2
+    products *= scale * w
+    return {(n, np_, l): math.fsum(row.tolist()) for (n, np_), row in zip(pairs, products)}
+
+
+def spherical_overlaps(l_max: int, nodes: int = 64) -> dict[tuple[int, int], float]:
+    """2 pi int Y_l^0 Y_l'^0 sin(theta) dtheta for every l <= l' <= l_max.
+
+    Keyed (l, l') in l, l' order.  Each P_l is evaluated once on the
+    Gauss-Legendre nodes; each pair is reduced by its own exactly rounded fsum.
+    """
     x, w = gauss_legendre_nodes(nodes)
-    norm = math.sqrt((2 * l + 1) * (2 * lp + 1)) / (4.0 * math.pi)
-    return 2.0 * math.pi * norm * fsum_dot(w, legendre(l, x) * legendre(lp, x))
+    p = np.array([legendre(l, x) for l in range(l_max + 1)])
+    pairs = [(l, lp) for l in range(l_max + 1) for lp in range(l, l_max + 1)]
+    first, second = np.array(pairs).T
+    # w * (P_l P_l') as one pair computes it, in place
+    products = p[first]
+    products *= p[second]
+    products *= w
+    out: dict[tuple[int, int], float] = {}
+    for (l, lp), row in zip(pairs, products):
+        norm = math.sqrt((2 * l + 1) * (2 * lp + 1)) / (4.0 * math.pi)
+        out[(l, lp)] = 2.0 * math.pi * norm * math.fsum(row.tolist())
+    return out
 
 
 def basis_report(
@@ -104,22 +148,19 @@ def basis_report(
     rows: list[Row] = []
     worst_r = 0.0
     worst_r_at = ""
-    for l in range(l_max + 1):
-        for n in range(l + 1, n_max + 1):
-            for np_ in range(n, n_max + 1):
-                err = abs(radial_overlap_1d(n, np_, l) - (1.0 if n == np_ else 0.0))
-                if err > worst_r:
-                    worst_r, worst_r_at = err, f"n={n};n'={np_};l={l}"
+    for (n, np_, l), overlap in radial_overlaps(n_max, l_max).items():
+        err = abs(overlap - (1.0 if n == np_ else 0.0))
+        if err > worst_r:
+            worst_r, worst_r_at = err, f"n={n};n'={np_};l={l}"
     ok_r = worst_r <= tol
     rows.append(("basis", "radial_orthonormality", "pass" if ok_r else "fail",
                  repr(worst_r), f"<= {tol!r}", worst_r_at, ""))
     worst_y = 0.0
     worst_y_at = ""
-    for l in range(y_l_max + 1):
-        for lp in range(l, y_l_max + 1):
-            err = abs(spherical_overlap(l, lp) - (1.0 if l == lp else 0.0))
-            if err > worst_y:
-                worst_y, worst_y_at = err, f"l={l};l'={lp}"
+    for (l, lp), overlap in spherical_overlaps(y_l_max).items():
+        err = abs(overlap - (1.0 if l == lp else 0.0))
+        if err > worst_y:
+            worst_y, worst_y_at = err, f"l={l};l'={lp}"
     ok_y = worst_y <= tol
     rows.append(("basis", "spherical_orthonormality", "pass" if ok_y else "fail",
                  repr(worst_y), f"<= {tol!r}", worst_y_at, ""))

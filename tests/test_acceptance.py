@@ -41,8 +41,8 @@ from gravatom.transitions import make_transition, transition_detuning
 from gravatom.verification import (
     basis_report,
     claims_report,
-    radial_overlap_1d,
-    spherical_overlap,
+    radial_overlaps,
+    spherical_overlaps,
 )
 
 # --------------------------------------------------------------------------
@@ -100,12 +100,12 @@ class TestCriterion2Basis:
     @pytest.mark.parametrize("n,np_,l", [(1, 1, 0), (3, 7, 2), (20, 20, 5), (6, 19, 0)])
     def test_radial_spot_checks(self, n, np_, l):
         expected = 1.0 if n == np_ else 0.0
-        assert abs(radial_overlap_1d(n, np_, l) - expected) <= 1e-10
+        assert abs(radial_overlaps(np_, l)[(n, np_, l)] - expected) <= 1e-10
 
     @pytest.mark.parametrize("l,lp", [(0, 0), (16, 16), (0, 16), (7, 9)])
     def test_spherical_spot_checks(self, l, lp):
         expected = 1.0 if l == lp else 0.0
-        assert abs(spherical_overlap(l, lp) - expected) <= 1e-10
+        assert abs(spherical_overlaps(lp)[(l, lp)] - expected) <= 1e-10
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,12 +300,16 @@ class TestUsageErrors:
         ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "inf"),
         ("decompose", "--n", "2", "--l", "0", "--strain", "1e-3", "--method", "numeric",
          "--tol", "nan"),
-    ], ids=["cycles-overflow", "omega-inf", "detuning-nan", "time-inf", "tol-nan"])
+        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "1e300"),
+    ], ids=["cycles-overflow", "omega-inf", "detuning-nan", "time-inf", "tol-nan",
+            "time-overflow"])
     def test_overflow_and_non_finite_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.strip() and "Traceback" not in err
+        # the message is the error's text, not the errno float ** carries
+        assert not re.fullmatch(r"gravatom: -?\d+", err.strip().splitlines()[-1])
 
     @pytest.mark.parametrize("nodes", [("1025", "4"), ("4", "1025")])
     def test_node_counts_bounded(self, capsys, nodes):

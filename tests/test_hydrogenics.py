@@ -62,6 +62,13 @@ class TestLaguerre:
         vec = laguerre(4, 2, x)
         assert vec == pytest.approx([laguerre(4, 2, xi) for xi in x])
 
+    @given(st.integers(0, 30), st.integers(0, 20), st.floats(0.0, 60.0))
+    def test_scalar_bit_identical_to_array(self, order, alpha, x):
+        # a scalar runs the recurrence in Python floats, an array in numpy
+        scalar = laguerre(order, alpha, x)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == laguerre(order, alpha, np.array([x]))[0].tobytes()
+
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0, 1.0)
@@ -117,6 +124,16 @@ class TestLegendre:
     def test_endpoint_values(self, l):
         assert legendre(l, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert legendre(l, -1.0) == pytest.approx((-1.0) ** l, abs=1e-12)
+
+    @given(st.integers(0, 30), st.floats(-60.0, 60.0))
+    def test_scalar_bit_identical_to_array(self, l, x):
+        scalar = legendre(l, x)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == legendre(l, np.array([x]))[0].tobytes()
+
+    def test_array_result_is_a_new_array(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        assert legendre(1, x) is not x
 
     @given(st.integers(0, 20), st.floats(-1.0, 1.0))
     def test_bounded_on_interval(self, l, x):
