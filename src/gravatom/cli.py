@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import lru_cache
 from typing import Sequence
@@ -269,6 +270,15 @@ def _cycle_samples(n_max: int, max_points: int = 200) -> list[int]:
     return sorted(samples)
 
 
+@contextmanager
+def _overflow_names(option: str, value: float):
+    """Re-raise an OverflowError with the option and value it came from."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(f"{option} {value!r} overflows: {_error_text(exc)}") from None
+
+
 def cmd_rabi(args) -> int:
     cfg, metadata = _rabi_config(args)
     metadata = {"command": "rabi", "version": __version__, **metadata}
@@ -279,29 +289,31 @@ def cmd_rabi(args) -> int:
     )
     rows: list[tuple] = []
     for t in args.time or ():
-        rows.append((
-            t * cfg.omega / (2.0 * math.pi), t,
-            excited_probability(cfg, t),
-            deviation_exact(cfg, t),
-            deviation_small_detuning(cfg, t),
-            deviation_short_time(cfg, t),
-            cfg.regime(t).value,
-        ))
-    if args.cycles is not None:
-        n_max = int(float(args.cycles))
-        if n_max < 0:
-            raise ValueError(f"--cycles must be >= 0, got {args.cycles}")
-        metadata["cycle_samples"] = "log-spaced" if n_max > 200 else "dense"
-        for n in _cycle_samples(n_max):
-            t = 2.0 * math.pi * n / cfg.omega
+        with _overflow_names("--time", t):
             rows.append((
-                n, t,
+                t * cfg.omega / (2.0 * math.pi), t,
                 excited_probability(cfg, t),
-                deviation_exact_at_cycles(cfg, n),
+                deviation_exact(cfg, t),
                 deviation_small_detuning(cfg, t),
                 deviation_short_time(cfg, t),
                 cfg.regime(t).value,
             ))
+    if args.cycles is not None:
+        n_max = int(args.cycles)
+        if n_max < 0:
+            raise ValueError(f"--cycles must be >= 0, got {args.cycles:g}")
+        metadata["cycle_samples"] = "log-spaced" if n_max > 200 else "dense"
+        with _overflow_names("--cycles", args.cycles):
+            for n in _cycle_samples(n_max):
+                t = 2.0 * math.pi * n / cfg.omega
+                rows.append((
+                    n, t,
+                    excited_probability(cfg, t),
+                    deviation_exact_at_cycles(cfg, n),
+                    deviation_small_detuning(cfg, t),
+                    deviation_short_time(cfg, t),
+                    cfg.regime(t).value,
+                ))
     if not rows and args.cycles is None:
         raise ValueError("provide at least one --time or a --cycles count")
     _emit(args, schema, metadata, rows)
@@ -419,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strain", type=float, default=0.0)
     p.add_argument("--time", type=_finite_float, action="append", metavar="SECONDS")
     p.add_argument(
-        "--cycles", default=None, metavar="N",
+        "--cycles", type=_finite_float, default=None, metavar="N",
         help="emit a deviation series up to N completed cycles (log-sampled above 200)",
     )
     _add_species_options(p)

@@ -4,7 +4,13 @@ Three routes to the expansion coefficients are provided and deliberately kept
 separate:
 
 * ``numeric`` -- brute-force 2D quadrature of the exact distorted
-  wavefunction against each basis state.  This is the ground truth.
+  wavefunction against each basis state.  This is the ground truth.  The
+  (n, l) window is evaluated one n at a time: the source-side radial factors
+  depend on n but not on the target l, so they are shared by every l of that
+  n, and the grid is walked in blocks of _ANGULAR_BLOCK angular rows.  Every
+  value is elementwise within its angular row and every row has its own
+  fsum, so each coefficient is bit-identical to a target-by-target,
+  whole-grid evaluation.
 * ``series`` -- the k-expansion obtained from the Laguerre argument-scaling
   identity plus the small-strain approximations.  Its angular components
   (``theta_fraction``) and radial factors (``_series_radial_factor``, a
@@ -64,6 +70,10 @@ __all__ = [
 
 #: |C| predicted beyond this fraction of unity triggers a linearity warning.
 SLOPE_SANITY_LIMIT = 0.1
+
+#: Angular rows of the numeric oracle's grid evaluated together; 32 rows keep
+#: the grid's temporaries small (about 1.7 MB on the default grid).
+_ANGULAR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -205,34 +215,45 @@ def _radial_poly_increment(l: int, n: int, y, h):
     return power * lag, d_power * lag + old_power * d_lag
 
 
-def _radial_deviation_transformed(
-    target: AtomicState, source: AtomicState, one_minus_a: np.ndarray, m_rad: int
-) -> np.ndarray:
-    """I(A) - I(1) for a batch of A, I(A) = int R_target(r) R_source(r A) r^2 dr.
+def _radial_deviations(
+    n: int, ls: list[int], source: AtomicState, one_minus_a: np.ndarray, m_rad: int
+) -> list[np.ndarray]:
+    """I(A) - I(1) for each target (n, l), l in ls, and a batch of A.
 
-    With beta = n0 / (n0 + n A) and r = n beta u the two decays combine to
-    e^{-u} and the Laguerre arguments become 2 beta u and 2 (1 - beta) u:
+    I(A) = int R_{n,l}(r) R_source(r A) r^2 dr.  With beta = n0 / (n0 + n A)
+    and r = n beta u the two decays combine to e^{-u} and the Laguerre
+    arguments become 2 beta u and 2 (1 - beta) u:
         I(A) = N_t N_s n^3 int e^{-u} u^2 beta^3 Q_t(2 beta u) Q_s(2 (1 - beta) u) du,
     Q_l(y) = y^l L(y): a polynomial of degree n + n0 times e^{-u}, so the
     Gauss-Laguerre rule is exact (degree permitting).  The deviation from
     A = 1 is built from the increment of beta, which is proportional to 1 - A,
     and never formed as a difference of two O(1) overlaps.
+
+    beta, h and the source factor Q_s depend on n but not on l, so each block
+    of _ANGULAR_BLOCK rows builds them once for every l.
     """
-    n, n0 = target.n, source.n
+    n0 = source.n
     u, w_scaled = gauss_laguerre_scaled(m_rad)
     weights = w_scaled * np.exp(-u) * u**2
     beta1 = n0 / (n0 + n)
-    d_beta = (n0 * n / (n0 + n)) * one_minus_a / (n0 + n - n * one_minus_a)
-    beta = (beta1 + d_beta)[:, None]
-    h = 2.0 * d_beta[:, None] * u[None, :]
-    q_t, d_q_t = _radial_poly_increment(target.l, n, 2.0 * beta1 * u, h)
-    q_s, d_q_s = _radial_poly_increment(source.l, n0, 2.0 * (1.0 - beta1) * u, -h)
-    d_beta3 = d_beta[:, None] * (beta**2 + beta * beta1 + beta1**2)
-    deviation = d_beta3 * q_t * q_s + beta1**3 * (d_q_t * q_s + (q_t - d_q_t) * d_q_s)
-    prefactor = (
-        radial_norm_constant(n, target.l) * radial_norm_constant(n0, source.l) * n**3
-    )
-    return prefactor * np.array([math.fsum(row.tolist()) for row in weights * deviation])
+    y_t, y_s = 2.0 * beta1 * u, 2.0 * (1.0 - beta1) * u
+    row_sums: list[list[float]] = [[] for _ in ls]
+    for start in range(0, len(one_minus_a), _ANGULAR_BLOCK):
+        block = one_minus_a[start:start + _ANGULAR_BLOCK]
+        d_beta = ((n0 * n / (n0 + n)) * block / (n0 + n - n * block))[:, None]
+        beta = beta1 + d_beta
+        h = 2.0 * d_beta * u
+        q_s, d_q_s = _radial_poly_increment(source.l, n0, y_s, -h)
+        d_beta3 = d_beta * (beta**2 + beta * beta1 + beta1**2)
+        for l, sums in zip(ls, row_sums):
+            q_t, d_q_t = _radial_poly_increment(l, n, y_t, h)
+            deviation = d_beta3 * q_t * q_s + beta1**3 * (d_q_t * q_s + (q_t - d_q_t) * d_q_s)
+            sums.extend([math.fsum(row.tolist()) for row in weights * deviation])
+    norm_s = radial_norm_constant(n0, source.l)
+    return [
+        radial_norm_constant(n, l) * norm_s * n**3 * np.array(sums)
+        for l, sums in zip(ls, row_sums)
+    ]
 
 
 def _y_m0_cos(l: int, x: np.ndarray) -> np.ndarray:
@@ -240,22 +261,44 @@ def _y_m0_cos(l: int, x: np.ndarray) -> np.ndarray:
     return math.sqrt((2 * l + 1) / (4 * math.pi)) * legendre(l, x)
 
 
-def _overlap_on_grid(
-    target: AtomicState, source: AtomicState, strain: Strain, m_rad: int, m_ang: int
-) -> float:
-    if (target.l + source.l) % 2:
-        return 0.0  # Y_t Y_s is odd in x = cos(theta), I(A(x)) even
+def _overlaps_on_grid(
+    n: int, ls: list[int], source: AtomicState, strain: Strain, m_rad: int, m_ang: int
+) -> list[float]:
+    """Overlaps of the targets (n, l), l in ls, with the distorted source on one grid."""
+    out = [0.0] * len(ls)  # Y_t Y_s is odd in x = cos(theta) for odd l + l0, I(A(x)) even
+    even = [i for i, l in enumerate(ls) if (l + source.l) % 2 == 0]
+    if not even:
+        return out
     x, wx = _half_legendre_nodes(m_ang)
     one_minus_a = _strain_deviation_cos(x, strain.s_p)
     # 2 pi int Y_t Y_s I(1) dx = delta_ts exactly, but Gauss-Legendre weights
     # reproduce angular orthogonality only to roundoff, and projecting the
     # O(1) I(1) through them would bias C by ~1e-14 at every strain.  Only
     # the deviation I(A) - I(1) is projected; delta_ts is added analytically.
-    rad = _radial_deviation_transformed(target, source, one_minus_a, m_rad)
-    y_t = _y_m0_cos(target.l, x)
+    rads = _radial_deviations(n, [ls[i] for i in even], source, one_minus_a, m_rad)
     y_s = _y_m0_cos(source.l, x)
-    delta_ts = 1.0 if target == source else 0.0
-    return 2.0 * math.pi * fsum_dot(wx, y_t * y_s * rad) + delta_ts
+    for i, rad in zip(even, rads):
+        delta_ts = 1.0 if (n, ls[i]) == (source.n, source.l) else 0.0
+        out[i] = 2.0 * math.pi * fsum_dot(wx, _y_m0_cos(ls[i], x) * y_s * rad) + delta_ts
+    return out
+
+
+def _converged_overlaps(
+    n: int, ls: list[int], source: AtomicState, strain: Strain, quad: QuadratureSpec
+) -> list[float]:
+    """Overlaps of the targets (n, l), l in ls, each checked by node doubling."""
+    if source.m != 0:
+        raise ValueError("overlap_numeric requires m = 0 states")
+    m_rad, m_ang = quad.radial_node_count, quad.angular_node_count
+    coarse = _overlaps_on_grid(n, ls, source, strain, m_rad, m_ang)
+    fine = _overlaps_on_grid(n, ls, source, strain, 2 * m_rad, 2 * m_ang)
+    for l, c, f in zip(ls, coarse, fine):
+        if abs(f - c) > quad.target_abs_tolerance:
+            raise QuadratureConvergenceError(
+                f"overlap {AtomicState(n, l)} <- {source} did not converge: node doubling "
+                f"moved the result by {abs(f - c):.3e} > {quad.target_abs_tolerance:.3e}"
+            )
+    return fine
 
 
 def overlap_numeric(
@@ -273,17 +316,9 @@ def overlap_numeric(
     verified by node doubling; disagreement beyond the requested tolerance raises
     QuadratureConvergenceError rather than returning a silent value.
     """
-    if target.m != 0 or source.m != 0:
+    if target.m != 0:
         raise ValueError("overlap_numeric requires m = 0 states")
-    args = (target, source, strain)
-    coarse = _overlap_on_grid(*args, quad.radial_node_count, quad.angular_node_count)
-    fine = _overlap_on_grid(*args, 2 * quad.radial_node_count, 2 * quad.angular_node_count)
-    if abs(fine - coarse) > quad.target_abs_tolerance:
-        raise QuadratureConvergenceError(
-            f"overlap {target} <- {source} did not converge: node doubling moved the "
-            f"result by {abs(fine - coarse):.3e} > {quad.target_abs_tolerance:.3e}"
-        )
-    return fine
+    return _converged_overlaps(target.n, [target.l], source, strain, quad)[0]
 
 
 def _norm_on_grid(source: AtomicState, strain: Strain, m_ang: int) -> float:
@@ -321,10 +356,9 @@ def numeric_decomposition(
     """Brute-force decomposition over a truncated (n, l) window around the source."""
     entries: list[tuple[AtomicState, float]] = []
     for n in range(max(1, source.n - delta_n), source.n + delta_n + 1):
-        for l in range(0, min(l_max, n - 1) + 1):
-            target = AtomicState(n, l)
-            entries.append((target, overlap_numeric(target, source, strain, quad)))
-    entries.sort(key=lambda e: (e[0].n, e[0].l))
+        ls = list(range(0, min(l_max, n - 1) + 1))
+        overlaps = _converged_overlaps(n, ls, source, strain, quad)
+        entries.extend((AtomicState(n, l), c) for l, c in zip(ls, overlaps))
     norm_sum = math.fsum(c * c for _, c in entries)
     return SpectralDecomposition(
         source=source,
@@ -479,7 +513,9 @@ def series_decomposition(source: AtomicState, strain: Strain, k_max: int) -> Spe
     coefficient(n0, l) = sum_{k >= l/2}^{k_max} (s_p^k / k!)
                          * radial_factor(n0, k, l) * sqrt(2l+1) * Theta_{k,l}
     Odd-l targets vanish identically; only same-n targets appear (the series
-    route inherits the published n-conservation approximation).
+    route inherits the published n-conservation approximation).  The terms
+    grow like (s_p n0^3)^k / k!, so a first-order term beyond
+    SLOPE_SANITY_LIMIT warns that the truncated expansion is meaningless.
     """
     if source.l != 0 or source.m != 0:
         raise ValueError("the series route is developed for l0 = 0 sources only")
@@ -488,6 +524,7 @@ def series_decomposition(source: AtomicState, strain: Strain, k_max: int) -> Spe
     n0 = source.n
     sp = strain.s_p
     entries: list[tuple[AtomicState, float]] = []
+    first_order = 0.0
     for l in range(0, min(2 * k_max, n0 - 1) + 1, 2):
         terms = [
             sp**k / math.factorial(k)
@@ -496,9 +533,17 @@ def series_decomposition(source: AtomicState, strain: Strain, k_max: int) -> Spe
             * theta_component(k, l)
             for k in range(l // 2, k_max + 1)
         ]
+        if l <= 2:
+            first_order = max(first_order, abs(terms[1 - l // 2]))  # the k = 1 term
         c = math.fsum(terms)
         if l == 0 or c != 0.0:
             entries.append((AtomicState(n0, l), c))
+    if first_order > SLOPE_SANITY_LIMIT:
+        warnings.warn(
+            f"series coefficients for {source} at s_p={sp:g} have a first-order term of "
+            f"{first_order:.3g}; the truncated expansion is outside its validity range",
+            stacklevel=2,
+        )
     entries.sort(key=lambda e: (e[0].n, e[0].l))
     return SpectralDecomposition(
         source=source,

@@ -137,8 +137,9 @@ class TestDecompose:
     def test_series_n175_is_exact(self, capsys, series_reference):
         # the radial factor's factorials overflowed float here before it was
         # taken in closed form
-        code, out, err = run(capsys, "decompose", "--n", "175", "--l", "0",
-                             "--strain", "1e-3", "--method", "series")
+        with pytest.warns(UserWarning, match="outside its validity range"):
+            code, out, err = run(capsys, "decompose", "--n", "175", "--l", "0",
+                                 "--strain", "1e-3", "--method", "series")
         assert code == EXIT_OK and err == ""
         rows = data_rows(out)
         assert [(r[0], r[1], r[2]) for r in rows] == [
@@ -156,6 +157,18 @@ class TestDecompose:
                            "--tol", "1e-16")
         assert code == EXIT_NO_CONVERGENCE
         assert "converge" in err
+
+    def test_numeric_nonconvergence_names_first_target(self, capsys):
+        # targets are checked in (n, l) order; (2,1) is the first that fails
+        code, out, err = run(capsys, "decompose", "--n", "6", "--l", "1", "--strain=0.2",
+                             "--method", "numeric", "--radial-nodes", "4",
+                             "--angular-nodes", "3", "--tol", "1e-14")
+        assert code == EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert err == (
+            "gravatom: quadrature did not converge: overlap (2,1,0) <- (6,1,0) did not "
+            "converge: node doubling moved the result by 7.255e-04 > 1.000e-14\n"
+        )
 
 
 class TestDetuning:
@@ -293,23 +306,32 @@ class TestUsageErrors:
                          "--time", "1")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--cycles", "1e400"),
-        ("rabi", "--omega", "1e400Hz", "--detuning-rad-s", "1e-3", "--cycles", "10"),
-        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "nan", "--cycles", "10"),
-        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "inf"),
-        ("decompose", "--n", "2", "--l", "0", "--strain", "1e-3", "--method", "numeric",
-         "--tol", "nan"),
-        ("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "1e300"),
+    @pytest.mark.parametrize("argv,named", [
+        (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--cycles", "1e400"),
+         "argument --cycles: expected a finite number, got '1e400'"),
+        (("rabi", "--omega", "1e400Hz", "--detuning-rad-s", "1e-3", "--cycles", "10"),
+         "frequency '1e400Hz'"),
+        (("rabi", "--omega", "47kHz", "--detuning-rad-s", "nan", "--cycles", "10"),
+         "argument --detuning-rad-s"),
+        (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "inf"),
+         "argument --time"),
+        (("decompose", "--n", "2", "--l", "0", "--strain", "1e-3", "--method", "numeric",
+          "--tol", "nan"), "target_abs_tolerance"),
+        (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "1e300"),
+         "--time 1e+300 overflows"),
+        (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--cycles", "1e300"),
+         "--cycles 1e+300 overflows"),
     ], ids=["cycles-overflow", "omega-inf", "detuning-nan", "time-inf", "tol-nan",
-            "time-overflow"])
-    def test_overflow_and_non_finite_exit_2(self, capsys, argv):
+            "time-overflow", "cycles-rows-overflow"])
+    def test_overflow_and_non_finite_exit_2(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.strip() and "Traceback" not in err
-        # the message is the error's text, not the errno float ** carries
+        # the message is the error's text, not the errno float ** carries,
+        # and it names the input it is about
         assert not re.fullmatch(r"gravatom: -?\d+", err.strip().splitlines()[-1])
+        assert named in err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize("nodes", [("1025", "4"), ("4", "1025")])
     def test_node_counts_bounded(self, capsys, nodes):

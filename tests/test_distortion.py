@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,11 @@ from gravatom.hydrogenics import (
     AtomicState,
     QuadratureConvergenceError,
     QuadratureSpec,
+    gauss_laguerre_scaled,
+    gauss_legendre_nodes,
+    laguerre_increment,
+    legendre,
+    radial_norm_constant,
 )
 
 
@@ -164,10 +171,12 @@ class TestSeriesRoute:
 
     def test_l6_entry_scales_as_strain_cubed(self):
         # the l = 6 coefficient first appears at k = 3, hence scales as S_p^3
-        # at that truncation (needs n0 >= 7 for the target to exist)
+        # at that truncation (needs n0 >= 7 for the target to exist); s_p n0^3
+        # is above 1 here, so the route warns that the expansion is meaningless
         src = AtomicState(8, 0)
-        c1 = series_decomposition(src, Strain(1e-2), k_max=3).coefficient(AtomicState(8, 6))
-        c2 = series_decomposition(src, Strain(2e-2), k_max=3).coefficient(AtomicState(8, 6))
+        with pytest.warns(UserWarning, match="outside its validity range"):
+            c1 = series_decomposition(src, Strain(1e-2), k_max=3).coefficient(AtomicState(8, 6))
+            c2 = series_decomposition(src, Strain(2e-2), k_max=3).coefficient(AtomicState(8, 6))
         assert c2 / c1 == pytest.approx(8.0, rel=1e-12)
 
     def test_rejects_nonzero_l0_and_bad_kmax(self):
@@ -179,6 +188,23 @@ class TestSeriesRoute:
     def test_odd_l_absent(self):
         sd = series_decomposition(AtomicState(5, 0), Strain(1e-3), k_max=3)
         assert all(s.l % 2 == 0 for s, _ in sd.entries)
+
+    @pytest.mark.parametrize("sp", [1e-3, -1e-3])
+    def test_warns_outside_validity(self, sp):
+        # the terms grow as (s_p n0^3)^k / k!; the k = 1 term is 1.8e3 here
+        with pytest.warns(UserWarning, match="first-order term of 1.82e\\+03"):
+            sd = series_decomposition(AtomicState(175, 0), Strain(sp), k_max=3)
+        assert all(math.isfinite(c) for _, c in sd.entries)
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3])
+    def test_benchmark_series_inputs_do_not_warn(self, k_max):
+        # the verify workload draws n0 in 2..30 and |s_p| <= 0.03 / (n0 + 1)^3,
+        # a first-order change s_p (n0 + 1)^3 / 3 of at most 1%
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n0 in range(2, 31):
+                for sp in (0.03 / (n0 + 1) ** 3, -0.03 / (n0 + 1) ** 3):
+                    series_decomposition(AtomicState(n0, 0), Strain(sp), k_max=k_max)
 
     @pytest.mark.parametrize("k_max", [1, 3, 12])
     @pytest.mark.parametrize("n0", [2, 7, 30])
@@ -318,6 +344,90 @@ class TestNumericOracle:
     def test_deterministic(self):
         args = (AtomicState(3, 2), AtomicState(3, 0), Strain(1e-3), self.QUAD)
         assert overlap_numeric(*args) == overlap_numeric(*args)
+
+
+def _reference_overlap(target, source, sp, m_rad, m_ang):
+    """One overlap on one whole (m_ang x m_rad) grid, target by target.
+
+    The oracle's formula written out from the hydrogenics primitives, with no
+    blocking and no sharing between targets; the oracle must match it bit for
+    bit.
+    """
+    if (target.l + source.l) % 2:
+        return 0.0
+    x, w = gauss_legendre_nodes(m_ang)
+    keep = x >= 0.0
+    x, wx = x[keep], np.where(x > 0.0, 2.0 * w, w)[keep]
+    one_minus_a = distortion._strain_deviation_cos(x, sp)
+    n, n0 = target.n, source.n
+    u, w_scaled = gauss_laguerre_scaled(m_rad)
+    weights = w_scaled * np.exp(-u) * u**2
+    beta1 = n0 / (n0 + n)
+    d_beta = (n0 * n / (n0 + n)) * one_minus_a / (n0 + n - n * one_minus_a)
+    beta = (beta1 + d_beta)[:, None]
+    h = 2.0 * d_beta[:, None] * u[None, :]
+
+    def poly_increment(l, nn, y, hh):
+        lag, d_lag = laguerre_increment(nn - l - 1, 2 * l + 1, y, hh)
+        yh = y + hh
+        power, old_power, d_power = np.ones_like(yh), np.ones_like(y), np.zeros_like(yh)
+        for _ in range(l):
+            d_power = yh * d_power + hh * old_power
+            power, old_power = power * yh, old_power * y
+        return power * lag, d_power * lag + old_power * d_lag
+
+    q_t, d_q_t = poly_increment(target.l, n, 2.0 * beta1 * u, h)
+    q_s, d_q_s = poly_increment(source.l, n0, 2.0 * (1.0 - beta1) * u, -h)
+    d_beta3 = d_beta[:, None] * (beta**2 + beta * beta1 + beta1**2)
+    deviation = d_beta3 * q_t * q_s + beta1**3 * (d_q_t * q_s + (q_t - d_q_t) * d_q_s)
+    prefactor = (
+        radial_norm_constant(n, target.l) * radial_norm_constant(n0, source.l) * n**3
+    )
+    rad = prefactor * np.array([math.fsum(row.tolist()) for row in weights * deviation])
+    y_t = math.sqrt((2 * target.l + 1) / (4 * math.pi)) * legendre(target.l, x)
+    y_s = math.sqrt((2 * source.l + 1) / (4 * math.pi)) * legendre(source.l, x)
+    delta_ts = 1.0 if target == source else 0.0
+    return 2.0 * math.pi * math.fsum((wx * (y_t * y_s * rad)).tolist()) + delta_ts
+
+
+class TestBatchedWindow:
+    """The window is evaluated one n at a time in angular blocks; values must not move."""
+
+    # folded fine-grid rows: 66 -> 33, 130 -> 65, 260 -> 130 and, on the
+    # default grid, 400 -> 200; none a multiple of the 32-row block
+    @pytest.mark.parametrize("n0", range(1, 13))
+    @pytest.mark.parametrize("sp", [2e-3, -0.04])
+    def test_decomposition_matches_per_target_formula(self, n0, sp):
+        m_rad, m_ang = (200, 200) if n0 == 12 else ((12, 33), (20, 65), (16, 130))[n0 % 3]
+        quad = QuadratureSpec(m_rad, m_ang, target_abs_tolerance=1.0)
+        source = AtomicState(n0, n0 // 3)
+        dec = numeric_decomposition(source, Strain(sp), quad)
+        assert len(dec.entries) == sum(
+            min(10, n - 1) + 1 for n in range(max(1, n0 - 4), n0 + 5))
+        for target, c in dec.entries:
+            assert c == _reference_overlap(target, source, sp, 2 * m_rad, 2 * m_ang), target
+
+    @pytest.mark.parametrize("m_ang", [3, 33, 65])
+    def test_overlap_matches_per_target_formula(self, m_ang):
+        quad = QuadratureSpec(9, m_ang, target_abs_tolerance=1.0)
+        for target, source in [((4, 2), (3, 0)), ((3, 0), (3, 0)), ((7, 3), (2, 1))]:
+            target, source = AtomicState(*target), AtomicState(*source)
+            value = overlap_numeric(target, source, Strain(0.2), quad)
+            assert value == _reference_overlap(target, source, 0.2, 18, 2 * m_ang)
+
+    def test_default_grid_memory(self):
+        # the grid is walked in 32-row angular blocks; the whole-grid
+        # evaluation peaked at 7.8 MB here
+        for m in (200, 400):  # the cached rules are built outside the trace
+            gauss_laguerre_scaled(m)
+            gauss_legendre_nodes(m)
+        tracemalloc.start()
+        try:
+            numeric_decomposition(AtomicState(12, 3), Strain(1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestSpectralDecompositionType:
