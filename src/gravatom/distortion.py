@@ -72,7 +72,7 @@ __all__ = [
 SLOPE_SANITY_LIMIT = 0.1
 
 #: Angular rows of the numeric oracle's grid evaluated together; 32 rows keep
-#: the grid's temporaries small (about 1.7 MB on the default grid).
+#: the traced peak of a default-grid decomposition near 1.7 MB.
 _ANGULAR_BLOCK = 32
 
 
