@@ -4,7 +4,10 @@ Subcommands: decompose, detuning, rabi, figure2, verify.  Output is CSV
 (default) or JSON; every document starts with a ``# schema:`` line (CSV) or a
 ``schema`` key (JSON), floats are serialized with ``repr`` so they round-trip
 bit-exactly, and reruns with identical inputs produce byte-identical output
-unless ``--stamp`` is given.
+unless ``--stamp`` is given.  CSV rows are written as they are computed, so
+``figure2`` runs in memory that does not grow with ``--cycles``; JSON output
+holds every row before it is written.  A run that fails writes nothing: every
+error is raised before the output is opened.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 quadrature non-convergence.
@@ -17,10 +20,12 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__, constants
 from .config import load_defect_table, parse_frequency, parse_state_token, state_token
@@ -39,7 +44,8 @@ from .rabi import (
     deviation_short_time,
     deviation_small_detuning,
     excited_probability,
-    figure2_series,
+    figure2_config,
+    figure2_rows,
 )
 from .transitions import (
     DefectTable,
@@ -81,7 +87,43 @@ def _csv_field(value) -> str:
     return text
 
 
-def _emit(args, schema: Sequence[str], metadata: dict, rows: Sequence[Sequence]) -> None:
+#: A command's columns: (name, spec) pairs.  The spec is the column's field
+#: in the CSV row template: "%r" for numbers (repr, so floats round-trip),
+#: "%d" for columns whose every value is an int, "%s" for text, which is
+#: quoted as _csv_field quotes it.
+Columns = Sequence[tuple[str, str]]
+
+#: Rows formatted at a time; one chunk is all a streamed document holds.
+_CSV_CHUNK_ROWS = 1024
+
+
+def _csv_lines(specs: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """CSV text of `rows`, one chunk of rows at a time: byte for byte the
+    _csv_field of every field joined by commas, one line per row."""
+    template = ",".join(specs) + "\n"
+    text = [i for i, spec in enumerate(specs) if spec == "%s"]
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CSV_CHUNK_ROWS)):
+        out = "".join(map(template.__mod__, chunk))
+        # numbers print no comma, quote or line break, so unless a text field
+        # holds one, the chunk's only ones are its separators and line ends
+        if text and (
+            out.count(",") != len(chunk) * (len(specs) - 1)
+            or out.count("\n") != len(chunk)
+            or '"' in out
+            or "\r" in out
+        ):
+            out = "".join(
+                template % tuple(_csv_field(v) if i in text else v for i, v in enumerate(row))
+                for row in chunk
+            )
+        yield out
+
+
+def _emit(args, columns: Columns, metadata: dict, rows: Iterable[Sequence]) -> None:
+    """Write a document.  CSV rows are written as `rows` yields them, a chunk
+    at a time, so a generator's rows are never all held; JSON collects them."""
+    schema = [name for name, _ in columns]
     metadata = dict(metadata)
     if args.stamp:
         metadata["generated_at"] = datetime.now(timezone.utc).isoformat()
@@ -89,21 +131,20 @@ def _emit(args, schema: Sequence[str], metadata: dict, rows: Sequence[Sequence])
         # every value is serialized exactly as in the CSV so the two formats
         # mirror each other byte-for-byte at the field level
         doc = {
-            "schema": list(schema),
+            "schema": schema,
             "metadata": {k: _fmt(v) for k, v in metadata.items()},
             "rows": [[_fmt(v) for v in row] for row in rows],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        header, lines = json.dumps(doc, indent=2) + "\n", ()
     else:
-        lines = ["# schema: " + ",".join(schema)]
-        lines.extend(f"# {k}: {_fmt(v)}" for k, v in metadata.items())
-        lines.extend(",".join(_csv_field(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        header = "".join([
+            "# schema: " + ",".join(schema) + "\n",
+            *(f"# {k}: {_fmt(v)}\n" for k, v in metadata.items()),
+        ])
+        lines = _csv_lines([spec for _, spec in columns], rows)
+    with nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w") as fh:
+        fh.write(header)
+        fh.writelines(lines)
 
 
 def _quad_from_args(args) -> QuadratureSpec:
@@ -126,7 +167,9 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 def _add_quadrature_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radial-nodes", type=int, default=200)
     p.add_argument("--angular-nodes", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute quadrature tolerance")
+    p.add_argument(
+        "--tol", type=_positive_float, default=1e-10, help="absolute quadrature tolerance"
+    )
 
 
 def _add_species_options(p: argparse.ArgumentParser) -> None:
@@ -141,6 +184,11 @@ def _decomposition_rows(dec: SpectralDecomposition) -> list[tuple]:
     ]
 
 
+_DECOMPOSE_COLUMNS = (
+    ("method", "%s"), ("n", "%d"), ("l", "%d"), ("m", "%d"), ("coefficient", "%r"),
+)
+
+
 def cmd_decompose(args) -> int:
     source = AtomicState(args.n, args.l)
     strain = Strain(args.strain)
@@ -148,6 +196,10 @@ def cmd_decompose(args) -> int:
     methods = (
         ("closed-form", "series", "numeric") if args.method == "all" else (args.method,)
     )
+    if "numeric" in methods:
+        for option, value in (("--delta-n", args.delta_n), ("--l-max", args.l_max)):
+            if value < 0:
+                raise ValueError(f"{option} must be >= 0, got {value}")
     rows: list[tuple] = []
     metadata: dict = {
         "command": "decompose",
@@ -183,7 +235,7 @@ def cmd_decompose(args) -> int:
                     ("closed-form", source.n, source.l, 0, coeffs.c0.at(sp)),
                     ("closed-form", source.n, source.l + 2, 0, coeffs.c_plus2.at(sp)),
                 ])
-    _emit(args, ("method", "n", "l", "m", "coefficient"), metadata, rows)
+    _emit(args, _DECOMPOSE_COLUMNS, metadata, rows)
     return EXIT_OK
 
 
@@ -196,12 +248,14 @@ def cmd_detuning(args) -> int:
     det = transition_detuning(transition, strain)
     lower_shift = shifted_energy(lower, strain, defects)
     upper_shift = shifted_energy(upper, strain, defects)
-    schema = (
-        "lower", "upper", "species", "strain",
-        "lower_energy_hartree", "upper_energy_hartree", "delta_e_hartree",
-        "lower_shift_slope", "upper_shift_slope",
-        "detuning_slope_hartree", "detuning_hartree", "detuning_rad_s",
-        "lower_kappa", "upper_kappa",
+    columns = (
+        ("lower", "%s"), ("upper", "%s"), ("species", "%s"), ("strain", "%r"),
+        *((name, "%r") for name in (
+            "lower_energy_hartree", "upper_energy_hartree", "delta_e_hartree",
+            "lower_shift_slope", "upper_shift_slope",
+            "detuning_slope_hartree", "detuning_hartree", "detuning_rad_s",
+            "lower_kappa", "upper_kappa",
+        )),
     )
     row = (
         state_token(lower), state_token(upper), args.species, args.strain,
@@ -224,7 +278,7 @@ def cmd_detuning(args) -> int:
     if args.frequency is not None:
         metadata["reference_frequency_hz"] = args.frequency
         metadata["wavelength_shift_m"] = wavelength_shift(args.frequency, det, strain)
-    _emit(args, schema, metadata, rows)
+    _emit(args, columns, metadata, rows)
     return EXIT_OK
 
 
@@ -282,10 +336,11 @@ def _overflow_names(option: str, value: float):
 def cmd_rabi(args) -> int:
     cfg, metadata = _rabi_config(args)
     metadata = {"command": "rabi", "version": __version__, **metadata}
-    schema = (
-        "cycles", "time_s", "excited_probability",
-        "deviation_exact", "deviation_small_detuning", "deviation_short_time",
-        "regime",
+    # cycles is a float for --time rows and an int for --cycles rows
+    columns = (
+        ("cycles", "%r"), ("time_s", "%r"), ("excited_probability", "%r"),
+        ("deviation_exact", "%r"), ("deviation_small_detuning", "%r"),
+        ("deviation_short_time", "%r"), ("regime", "%s"),
     )
     rows: list[tuple] = []
     for t in args.time or ():
@@ -316,8 +371,34 @@ def cmd_rabi(args) -> int:
                 ))
     if not rows and args.cycles is None:
         raise ValueError("provide at least one --time or a --cycles count")
-    _emit(args, schema, metadata, rows)
+    _emit(args, columns, metadata, rows)
     return EXIT_OK
+
+
+_FIGURE2_COLUMNS = (
+    ("cycles", "%d"), ("time_s", "%r"), ("deviation_at_cycles", "%r"),
+    ("deviation_exact", "%r"), ("deviation_small_detuning", "%r"),
+    ("deviation_short_time", "%r"), ("regime", "%s"),
+)
+
+
+def _named_figure2_rows(args, cfg: RabiConfig):
+    """figure2_rows, with an overflow named after its input: --cycles when a
+    single cycle is in range, else --omega at the given --strain."""
+    try:
+        return figure2_rows(cfg, args.cycles)
+    except (OverflowError, ValueError) as exc:
+        # figure2_rows raises ValueError only for math domain errors here:
+        # the cycle count is checked first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                figure2_rows(cfg, 1)
+            except (OverflowError, ValueError):
+                option = f"--omega {args.omega!r} at --strain {args.strain!r}"
+            else:
+                option = f"--cycles {args.cycles!r}"
+        raise OverflowError(f"{option} overflows: {_error_text(exc)}") from None
 
 
 def cmd_figure2(args) -> int:
@@ -327,23 +408,14 @@ def cmd_figure2(args) -> int:
     )
     strain = Strain(args.strain)
     omega = parse_frequency(args.omega)
-    series = figure2_series(transition, strain, omega, args.cycles)
+    if args.cycles < 0:
+        raise ValueError(f"--cycles must be >= 0, got {args.cycles}")
+    cfg, series_metadata = figure2_config(transition, strain, omega)
     metadata = {"command": "figure2", "version": __version__, "species": args.species}
-    metadata.update(series.metadata)
-    schema = (
-        "cycles", "time_s", "deviation_at_cycles", "deviation_exact",
-        "deviation_small_detuning", "deviation_short_time", "regime",
-    )
-    rows = [
-        (
-            n, 2.0 * math.pi * n / omega,
-            series.at_cycles[i], series.exact[i],
-            series.small_detuning[i], series.short_time[i],
-            series.regime_flags[i].value,
-        )
-        for i, n in enumerate(series.abscissa)
-    ]
-    _emit(args, schema, metadata, rows)
+    metadata.update(series_metadata)
+    # every error is raised here, before the output is opened
+    rows = _named_figure2_rows(args, cfg)
+    _emit(args, _FIGURE2_COLUMNS, metadata, rows)
     return EXIT_OK
 
 
@@ -362,15 +434,26 @@ def cmd_verify(args) -> int:
         "suites": ",".join(suites),
         "status": "fail" if gate_failed else "pass",
     }
-    schema = ("suite", "check", "status", "value", "reference", "detail", "note")
-    _emit(args, schema, metadata, rows)
+    columns = tuple((name, "%s") for name in (
+        "suite", "check", "status", "value", "reference", "detail", "note"))
+    _emit(args, columns, metadata, rows)
     return EXIT_VERIFY_FAILED if gate_failed else EXIT_OK
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
@@ -397,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="spectral decomposition of the distorted state")
     p.add_argument("--n", type=int, required=True, help="source principal quantum number")
     p.add_argument("--l", type=int, required=True, help="source azimuthal quantum number")
-    p.add_argument("--strain", type=float, required=True)
+    p.add_argument("--strain", type=_finite_float, required=True)
     p.add_argument(
         "--method", choices=("numeric", "series", "closed-form", "all"),
         default="closed-form",
@@ -412,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detuning", help="strain-induced transition detuning")
     p.add_argument("--lower", required=True, help="lower state token, e.g. 50s")
     p.add_argument("--upper", required=True, help="upper state token, e.g. 51p")
-    p.add_argument("--strain", type=float, required=True)
+    p.add_argument("--strain", type=_finite_float, required=True)
     p.add_argument(
         "--frequency", type=_finite_float, default=None, metavar="HZ",
         help="also report the wavelength shift at this transition frequency",
@@ -428,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--detuning-from", default=None, metavar="LOWER:UPPER",
         help="derive the detuning from a strained transition, e.g. 50s:51p",
     )
-    p.add_argument("--strain", type=float, default=0.0)
+    p.add_argument("--strain", type=_finite_float, default=0.0)
     p.add_argument("--time", type=_finite_float, action="append", metavar="SECONDS")
     p.add_argument(
         "--cycles", type=_finite_float, default=None, metavar="N",
@@ -441,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure2", help="deviation-vs-completed-cycles curves")
     p.add_argument("--lower", required=True)
     p.add_argument("--upper", required=True)
-    p.add_argument("--strain", type=float, required=True)
+    p.add_argument("--strain", type=_finite_float, required=True)
     p.add_argument("--omega", required=True, help="Rabi frequency, e.g. 47kHz")
     p.add_argument("--cycles", type=int, required=True, help="number of completed cycles")
     _add_species_options(p)

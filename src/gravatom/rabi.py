@@ -15,7 +15,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator
 
 from . import constants
 from .distortion import Strain
@@ -31,6 +31,8 @@ __all__ = [
     "deviation_small_detuning",
     "deviation_short_time",
     "deviation_at_cycles",
+    "figure2_config",
+    "figure2_rows",
     "figure2_series",
     "DETUNING_RATIO_SERIES_THRESHOLD",
 ]
@@ -61,10 +63,15 @@ class RabiConfig:
         return self.detuning / self.omega
 
     def regime(self, t: float) -> Regime:
-        """short_time while t < pi omega / Delta^2, long_time after."""
-        if self.detuning == 0.0:
+        """short_time while t < pi omega / Delta^2, long_time after.
+
+        A detuning whose square underflows to 0 is short_time throughout, as
+        zero detuning is.
+        """
+        detuning_sq = self.detuning**2
+        if detuning_sq == 0.0:
             return Regime.SHORT_TIME
-        return Regime.SHORT_TIME if t < math.pi * self.omega / self.detuning**2 else Regime.LONG_TIME
+        return Regime.SHORT_TIME if t < math.pi * self.omega / detuning_sq else Regime.LONG_TIME
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,89 @@ def deviation_at_cycles(cfg: RabiConfig, n_cycles: int) -> float:
     return (n_cycles * math.pi * cfg.ratio**2 / 2.0) ** 2
 
 
+def figure2_config(
+    transition: TransitionSpec,
+    strain: Strain,
+    omega: float,
+    detuning: DetuningResult | None = None,
+) -> tuple[RabiConfig, dict]:
+    """Rabi configuration and metadata of a strained transition's figure-2 curve.
+
+    `omega` is angular (rad/s); the detuning is derived from the transition's
+    strain response, Delta = delta / hbar.
+    """
+    if detuning is None:
+        detuning = transition_detuning(transition, strain)
+    delta_hartree = detuning.slope * strain.s_p
+    delta_angular = constants.hartree_to_rad_per_s(delta_hartree)
+    cfg = RabiConfig(omega=omega, detuning=delta_angular)
+    metadata = {
+        "lower": str(transition.lower),
+        "upper": str(transition.upper),
+        "strain": strain.s_p,
+        "omega_rad_s": omega,
+        "detuning_slope_hartree": detuning.slope,
+        "detuning_rad_s": delta_angular,
+    }
+    return cfg, metadata
+
+
+def figure2_rows(
+    cfg: RabiConfig, n_cycles_max: int
+) -> Iterator[tuple[int, float, float, float, float, float, str]]:
+    """Rows (n, t, at_cycles, exact, small_detuning, short_time, regime), n = 1..N.
+
+    t = 2 pi n / omega.  The values are bit for bit those of
+    deviation_at_cycles, deviation_exact_at_cycles, deviation_small_detuning,
+    deviation_short_time and cfg.regime(t).value: each formula keeps its
+    operation order, and only per-config constants are computed once.  Rows
+    are made one at a time, so memory does not grow with N.
+
+    Every error is raised by this call, never while iterating: each
+    magnitude is monotone in n, so row N is evaluated first.  The
+    small-detuning domain warning (|Delta|/omega > 0.1) is issued once,
+    after that, and only when N >= 1.
+    """
+    if n_cycles_max < 0:
+        raise ValueError("n_cycles_max must be >= 0")
+    if n_cycles_max == 0:
+        return iter(())
+    sin, pi = math.sin, math.pi
+    omega, detuning = cfg.omega, cfg.detuning
+    x = cfg.ratio
+    x_pow2 = x**2
+    xx = x * x
+    one_xx = 1.0 + xx
+    one_s = 1.0 + math.sqrt(1.0 + xx)
+    detuning_sq = detuning**2
+    four_omega = 4.0 * omega
+    two_pi = 2.0 * pi
+    t_star = pi * omega / detuning_sq if detuning_sq != 0.0 else math.inf
+    short, long = Regime.SHORT_TIME.value, Regime.LONG_TIME.value
+
+    def rows(cycles):
+        for n in cycles:
+            n_pi = n * pi
+            t = two_pi * n / omega
+            eps = detuning_sq * t / four_omega
+            yield (
+                n, t,
+                (n_pi * x_pow2 / 2.0) ** 2,
+                -sin(n_pi * x * x / one_s) ** 2 / one_xx,
+                sin(omega * t / 2.0) ** 2 * (xx + sin(eps) ** 2) / one_xx,
+                eps**2,
+                short if t < t_star else long,
+            )
+
+    next(rows((n_cycles_max,)))
+    if abs(x) > 0.1:
+        warnings.warn(
+            f"small-detuning approximation called at |Delta|/omega = {abs(x):.3g} > 0.1",
+            stacklevel=2,
+        )
+    return rows(range(1, n_cycles_max + 1))
+
+
 def figure2_series(
     transition: TransitionSpec,
     strain: Strain,
@@ -169,32 +259,22 @@ def figure2_series(
 ) -> DeviationSeries:
     """Deviation-vs-completed-cycles curve for a strained transition.
 
-    `omega` is angular (rad/s); the detuning is derived from the transition's
-    strain response, Delta = delta / hbar.
+    `omega` is angular (rad/s); the rows are those of figure2_rows.
     """
     if n_cycles_max < 0:
         raise ValueError("n_cycles_max must be >= 0")
-    if detuning is None:
-        detuning = transition_detuning(transition, strain)
-    delta_hartree = detuning.slope * strain.s_p
-    delta_angular = constants.hartree_to_rad_per_s(delta_hartree)
-    cfg = RabiConfig(omega=omega, detuning=delta_angular)
-    cycles = tuple(range(1, n_cycles_max + 1))
-    times = [2.0 * math.pi * n / omega for n in cycles]
+    cfg, metadata = figure2_config(transition, strain, omega, detuning)
+    rows = list(figure2_rows(cfg, n_cycles_max))
+    cycles, _, at_cycles, exact, small, short, regimes = (
+        tuple(zip(*rows)) if rows else ((),) * 7
+    )
     return DeviationSeries(
         abscissa=cycles,
-        at_cycles=tuple(deviation_at_cycles(cfg, n) for n in cycles),
-        exact=tuple(deviation_exact_at_cycles(cfg, n) for n in cycles),
-        small_detuning=tuple(deviation_small_detuning(cfg, t) for t in times),
-        short_time=tuple(deviation_short_time(cfg, t) for t in times),
-        regime_flags=tuple(cfg.regime(t) for t in times),
+        at_cycles=at_cycles,
+        exact=exact,
+        small_detuning=small,
+        short_time=short,
+        regime_flags=tuple(map(Regime, regimes)),
         config=cfg,
-        metadata={
-            "lower": str(transition.lower),
-            "upper": str(transition.upper),
-            "strain": strain.s_p,
-            "omega_rad_s": omega,
-            "detuning_slope_hartree": detuning.slope,
-            "detuning_rad_s": delta_angular,
-        },
+        metadata=metadata,
     )

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,20 @@ from gravatom.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     _csv_field,
+    _csv_lines,
     main,
 )
+from gravatom.config import load_defect_table, parse_frequency, parse_state_token
+from gravatom.constants import hartree_to_rad_per_s
+from gravatom.distortion import Strain
+from gravatom.rabi import (
+    RabiConfig,
+    deviation_at_cycles,
+    deviation_exact_at_cycles,
+    deviation_short_time,
+    deviation_small_detuning,
+)
+from gravatom.transitions import make_transition, transition_detuning
 
 
 def run(capsys, *argv):
@@ -91,6 +105,13 @@ class TestOutputContract:
         assert width == 7 and len(rows) > 16
         assert [len(row) for row in rows] == [width] * len(rows)
         assert "reported, not gated" in {field for row in rows for field in row}
+
+    @pytest.mark.parametrize("special", ["", "a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_streamed_rows_are_csv_field_joined(self, special):
+        # three chunks of rows; one text field in the second needs quoting
+        rows = [("plain", k, 0.1 * k, special if k == 1500 else "t") for k in range(2500)]
+        expected = "".join(",".join(_csv_field(v) for v in row) + "\n" for row in rows)
+        assert "".join(_csv_lines(["%s", "%d", "%r", "%s"], rows)) == expected
 
     @pytest.mark.parametrize("row", [
         ("plain", 3, 0.1, -2.5e-300),
@@ -250,6 +271,149 @@ class TestFigure2:
         assert all(r[6] == "short_time" for r in rows)
 
 
+def _field(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _figure2_expected(lower, upper, strain, omega, cycles, species, fmt):
+    """The figure2 document, written from the scalar deviation_* functions."""
+    defects = load_defect_table(species, None)
+    transition = make_transition(parse_state_token(lower), parse_state_token(upper), defects)
+    det = transition_detuning(transition, Strain(strain))
+    omega_rad_s = parse_frequency(omega)
+    detuning = hartree_to_rad_per_s(det.slope * strain)
+    cfg = RabiConfig(omega=omega_rad_s, detuning=detuning)
+    schema = ["cycles", "time_s", "deviation_at_cycles", "deviation_exact",
+              "deviation_small_detuning", "deviation_short_time", "regime"]
+    metadata = {
+        "command": "figure2", "version": gravatom.__version__, "species": species,
+        "lower": str(transition.lower), "upper": str(transition.upper), "strain": strain,
+        "omega_rad_s": omega_rad_s, "detuning_slope_hartree": det.slope,
+        "detuning_rad_s": detuning,
+    }
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in range(1, cycles + 1):
+            t = 2.0 * math.pi * n / omega_rad_s
+            rows.append((
+                n, t, deviation_at_cycles(cfg, n), deviation_exact_at_cycles(cfg, n),
+                deviation_small_detuning(cfg, t), deviation_short_time(cfg, t),
+                cfg.regime(t).value,
+            ))
+    if fmt == "json":
+        doc = {
+            "schema": schema,
+            "metadata": {k: _field(v) for k, v in metadata.items()},
+            "rows": [[_field(v) for v in row] for row in rows],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    lines = ["# schema: " + ",".join(schema)]
+    lines += [f"# {k}: {_field(v)}" for k, v in metadata.items()]
+    lines += [",".join(_csv_field(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+FIGURE2_CONFIGS = {
+    "hydrogen": ("50s", "51p", 1e-20, "47kHz", "hydrogen"),
+    "rb-example": ("40d", "41f", 1e-18, "30.25kHz", "rb-example"),
+    "zero-strain": ("50s", "51p", 0.0, "47kHz", "hydrogen"),
+    "all-long-time": ("50s", "51p", 1e-3, "1Hz", "hydrogen"),
+    "mixed-regime": ("50s", "51p", -5e-15, "47kHz", "rb-example"),
+    "ratio-above-0.1": ("50s", "51p", 1e-13, "47kHz", "hydrogen"),
+}
+
+
+def _figure2_argv(config, cycles):
+    lower, upper, strain, omega, species = FIGURE2_CONFIGS[config]
+    return ["figure2", "--lower", lower, "--upper", upper, f"--strain={strain!r}",
+            "--omega", omega, "--cycles", str(cycles), "--species", species]
+
+
+@pytest.mark.filterwarnings("ignore:small-detuning approximation")
+class TestFigure2Stream:
+    """figure2 streams its rows; the bytes are those of the scalar functions."""
+
+    @pytest.mark.parametrize("cycles", [0, 1, 200, 5000])
+    @pytest.mark.parametrize("config", sorted(FIGURE2_CONFIGS))
+    def test_exact_bytes(self, capsys, tmp_path, config, cycles):
+        for fmt in ("csv", "json"):
+            expected = _figure2_expected(*FIGURE2_CONFIGS[config][:4], cycles,
+                                         FIGURE2_CONFIGS[config][4], fmt)
+            argv = [*_figure2_argv(config, cycles), "--format", fmt]
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert out == expected
+            path = tmp_path / f"out.{fmt}"
+            code, out, _ = run(capsys, *argv, "--output", str(path))
+            assert code == EXIT_OK and out == ""
+            assert path.read_bytes() == expected.encode()
+
+    def test_regimes_switch_once(self, capsys):
+        _, out, _ = run(capsys, *_figure2_argv("mixed-regime", 5000))
+        regimes = [r[6] for r in data_rows(out)]
+        switch = regimes.index("long_time")
+        assert 0 < switch and set(regimes[switch:]) == {"long_time"}
+
+    @pytest.mark.parametrize("cycles", [0, 1, 200])
+    def test_domain_warning_once(self, capsys, cycles):
+        cfg = RabiConfig(omega=1.0, detuning=0.408)
+        with warnings.catch_warnings(record=True) as scalar:
+            warnings.simplefilter("always")
+            deviation_small_detuning(cfg, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, *_figure2_argv("ratio-above-0.1", cycles))
+        assert code == EXIT_OK
+        texts = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        assert texts == ([str(scalar[0].message)] if cycles else [])
+
+    @pytest.mark.parametrize("argv,named", [
+        # row 1 is in range; the magnitudes overflow part-way through the rows
+        (("--omega", "7.7e-59Hz", "--strain", "0.4", "--cycles", "20000"),
+         "--cycles 20000 overflows: Numerical result out of range"),
+        (("--omega", "1e-60Hz", "--strain", "0.4", "--cycles", "5"),
+         "--cycles 5 overflows: Numerical result out of range"),
+        # a single cycle is already out of range
+        (("--omega", "1e-310Hz", "--strain", "1e-20", "--cycles", "5"),
+         "--omega '1e-310Hz' at --strain 1e-20 overflows: Numerical result out of range"),
+        (("--omega", "1e-310Hz", "--strain", "0", "--cycles", "5"),
+         "--omega '1e-310Hz' at --strain 0.0 overflows: math domain error"),
+        (("--omega", "47kHz", "--strain", "1e-20", "--cycles", "-3"),
+         "--cycles must be >= 0, got -3"),
+    ], ids=["cycles-overflow", "cycles-overflow-early", "omega-overflow", "omega-domain",
+            "cycles-negative"])
+    def test_errors_name_their_input_and_leave_no_output(self, capsys, tmp_path, argv, named):
+        base = ("figure2", "--lower", "50s", "--upper", "51p", *argv)
+        code, out, err = run(capsys, *base)
+        assert (code, out, err) == (EXIT_USAGE, "", f"gravatom: {named}\n")
+        path = tmp_path / "F.csv"
+        code, out, err = run(capsys, *base, "--output", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert not path.exists()
+
+    def test_detuning_square_underflow_is_short_time(self, capsys):
+        # |Delta| ~ 1e-162 rad/s: Delta^2 underflows to 0, as zero detuning
+        code, out, err = run(capsys, "figure2", "--lower", "50s", "--upper", "51p",
+                             "--strain", "1e-180", "--omega", "47kHz", "--cycles", "3")
+        assert (code, err) == (EXIT_OK, "")
+        assert [r[6] for r in data_rows(out)] == ["short_time"] * 3
+
+    def test_memory_does_not_grow_with_cycles(self, tmp_path):
+        # no timing: the traced peak of a 20000-row run to a file.  Collecting
+        # the rows first peaked at about 15 MB.
+        argv = [*_figure2_argv("hydrogen", 20000), "--output", str(tmp_path / "F.csv")]
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+        assert (tmp_path / "F.csv").stat().st_size > 20000 * 100
+
+
 class TestVerify:
     def test_table1_reports_the_printed_discrepancy(self, capsys):
         # the (3,0) cell of the printed table disagrees with its defining
@@ -316,7 +480,7 @@ class TestUsageErrors:
         (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "inf"),
          "argument --time"),
         (("decompose", "--n", "2", "--l", "0", "--strain", "1e-3", "--method", "numeric",
-          "--tol", "nan"), "target_abs_tolerance"),
+          "--tol", "nan"), "argument --tol"),
         (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--time", "1e300"),
          "--time 1e+300 overflows"),
         (("rabi", "--omega", "47kHz", "--detuning-rad-s", "1e-3", "--cycles", "1e300"),
@@ -332,6 +496,31 @@ class TestUsageErrors:
         # and it names the input it is about
         assert not re.fullmatch(r"gravatom: -?\d+", err.strip().splitlines()[-1])
         assert named in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tol_must_be_positive_and_finite(self, capsys, value):
+        code, out, err = run(capsys, "decompose", "--n", "2", "--l", "0", "--strain", "1e-3",
+                             "--method", "numeric", f"--tol={value}")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "argument --tol: expected a finite number" in err and f"got '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--n", "2", "--l", "0"),
+        ("detuning", "--lower", "1s", "--upper", "2p"),
+        ("rabi", "--omega", "47kHz", "--detuning-from", "50s:51p", "--cycles", "5"),
+        ("figure2", "--lower", "50s", "--upper", "51p", "--omega", "47kHz", "--cycles", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_strain_names_strain(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, f"--strain={value}")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --strain: expected a finite number, got '{value}'" in err
+
+    @pytest.mark.parametrize("option", ["--l-max", "--delta-n"])
+    def test_negative_numeric_window_names_option(self, capsys, option):
+        code, out, err = run(capsys, "decompose", "--n", "3", "--l", "0", "--strain", "1e-3",
+                             "--method", "numeric", f"{option}=-1")
+        assert (code, out, err) == (EXIT_USAGE, "", f"gravatom: {option} must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("nodes", [("1025", "4"), ("4", "1025")])
     def test_node_counts_bounded(self, capsys, nodes):

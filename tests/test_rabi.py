@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gravatom.rabi import (
     deviation_short_time,
     deviation_small_detuning,
     excited_probability,
+    figure2_rows,
     figure2_series,
 )
 from gravatom.transitions import make_transition
@@ -174,3 +177,73 @@ class TestFigure2Series:
         ser = self._series(10)
         for e, a in zip(ser.exact, ser.at_cycles):
             assert abs(e) == pytest.approx(a, rel=1e-6)
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _scalar_rows(cfg, n_max):
+    rows = []
+    for n in range(1, n_max + 1):
+        t = 2.0 * math.pi * n / cfg.omega
+        rows.append((
+            n, t, deviation_at_cycles(cfg, n), deviation_exact_at_cycles(cfg, n),
+            deviation_small_detuning(cfg, t), deviation_short_time(cfg, t),
+            cfg.regime(t).value,
+        ))
+    return rows
+
+
+class TestFigure2Rows:
+    @given(
+        st.floats(1e-3, 1e7),
+        st.floats(-2.0, 2.0) | st.floats(1e-14, 1e-3) | st.floats(-1e-3, -1e-14),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scalar_functions(self, omega, ratio, n_max):
+        cfg = RabiConfig(omega=omega, detuning=ratio * omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = list(figure2_rows(cfg, n_max))
+            expected = _scalar_rows(cfg, n_max)
+        assert [tuple(map(_bits, r)) for r in rows] == [tuple(map(_bits, r)) for r in expected]
+
+    def test_zero_and_negative_counts(self):
+        cfg = RabiConfig(omega=1.0, detuning=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(figure2_rows(cfg, 0)) == []
+        with pytest.raises(ValueError, match="n_cycles_max must be >= 0"):
+            figure2_rows(cfg, -1)
+
+    def test_warns_once_at_the_call(self):
+        cfg = RabiConfig(omega=1.0, detuning=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = figure2_rows(cfg, 50)
+            assert len(caught) == 1
+            list(rows)
+        assert len(caught) == 1
+        assert str(caught[0].message) == (
+            "small-detuning approximation called at |Delta|/omega = 0.5 > 0.1")
+
+    def test_errors_come_before_the_first_row(self):
+        # row 1 is in range, row 3 overflows: the call raises, before any row
+        x = math.sqrt(5e153)
+        cfg = RabiConfig(omega=1.0, detuning=x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert len(list(figure2_rows(cfg, 1))) == 1
+            with pytest.raises(OverflowError):
+                figure2_rows(cfg, 3)
+
+    def test_series_materialises_the_rows(self):
+        t = make_transition(AtomicState(50, 0), AtomicState(51, 1))
+        ser = figure2_series(t, Strain(1e-20), 2.0 * math.pi * 47e3, 300)
+        rows = _scalar_rows(ser.config, 300)
+        assert ser.abscissa == tuple(r[0] for r in rows)
+        assert ser.exact == tuple(r[3] for r in rows)
+        assert ser.small_detuning == tuple(r[4] for r in rows)
+        assert ser.regime_flags == tuple(Regime(r[6]) for r in rows)
