@@ -142,7 +142,11 @@ def _emit(args, columns: Columns, metadata: dict, rows: Iterable[Sequence]) -> N
             *(f"# {k}: {_fmt(v)}\n" for k, v in metadata.items()),
         ])
         lines = _csv_lines([spec for _, spec in columns], rows)
-    with nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w") as fh:
+    try:
+        out = nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w")
+    except OSError as exc:
+        raise ValueError(f"--output {args.output!r}: {exc.strerror}") from None
+    with out as fh:
         fh.write(header)
         fh.writelines(lines)
 
@@ -358,9 +362,14 @@ def cmd_rabi(args) -> int:
         if n_max < 0:
             raise ValueError(f"--cycles must be >= 0, got {args.cycles:g}")
         metadata["cycle_samples"] = "log-spaced" if n_max > 200 else "dense"
+        if n_max and math.isinf(2.0 * math.pi / cfg.omega):
+            raise OverflowError(f"--omega {args.omega!r} overflows: one cycle lasts inf s")
         with _overflow_names("--cycles", args.cycles):
             for n in _cycle_samples(n_max):
                 t = 2.0 * math.pi * n / cfg.omega
+                if math.isinf(t):
+                    # math.sin(inf) would raise a bare "math domain error"
+                    raise OverflowError(f"2 pi n / omega is inf at n = {n}")
                 rows.append((
                     n, t,
                     excited_probability(cfg, t),

@@ -225,9 +225,10 @@ def _radial_deviations(
     arguments become 2 beta u and 2 (1 - beta) u:
         I(A) = N_t N_s n^3 int e^{-u} u^2 beta^3 Q_t(2 beta u) Q_s(2 (1 - beta) u) du,
     Q_l(y) = y^l L(y): a polynomial of degree n + n0 times e^{-u}, so the
-    Gauss-Laguerre rule is exact (degree permitting).  The deviation from
-    A = 1 is built from the increment of beta, which is proportional to 1 - A,
-    and never formed as a difference of two O(1) overlaps.
+    m_rad-node Gauss-Laguerre rule is exact when n + n0 <= 2 m_rad - 1.  The
+    deviation from A = 1 is built from the increment of beta, which is
+    proportional to 1 - A, and never formed as a difference of two O(1)
+    overlaps.
 
     beta, h and the source factor Q_s depend on n but not on l, so each block
     of _ANGULAR_BLOCK rows builds them once for every l.
@@ -286,12 +287,21 @@ def _overlaps_on_grid(
 def _converged_overlaps(
     n: int, ls: list[int], source: AtomicState, strain: Strain, quad: QuadratureSpec
 ) -> list[float]:
-    """Overlaps of the targets (n, l), l in ls, each checked by node doubling."""
+    """Overlaps of the targets (n, l), l in ls, each checked by node doubling.
+
+    The fine grid doubles the angular rule: the angular integrand goes through
+    A(x) and is not a polynomial.  The radial integrand is a polynomial of
+    degree n + n0 times e^{-u} (see _radial_deviations), and an m-node
+    Gauss-Laguerre rule is exact through degree 2m - 1 (Golub & Welsch, Math.
+    Comp. 23, 221 (1969)), so the radial rule is doubled only where it is not
+    exact for that degree; where it is, a doubled rule would only add roundoff.
+    """
     if source.m != 0:
         raise ValueError("overlap_numeric requires m = 0 states")
     m_rad, m_ang = quad.radial_node_count, quad.angular_node_count
+    fine_rad = m_rad if n + source.n <= 2 * m_rad - 1 else 2 * m_rad
     coarse = _overlaps_on_grid(n, ls, source, strain, m_rad, m_ang)
-    fine = _overlaps_on_grid(n, ls, source, strain, 2 * m_rad, 2 * m_ang)
+    fine = _overlaps_on_grid(n, ls, source, strain, fine_rad, 2 * m_ang)
     for l, c, f in zip(ls, coarse, fine):
         if abs(f - c) > quad.target_abs_tolerance:
             raise QuadratureConvergenceError(
@@ -313,7 +323,9 @@ def overlap_numeric(
     deviation of the radial overlap from the identity map (A = 1) goes through
     quadrature; its exact projection delta_ts is added analytically, so no
     angular-weight roundoff is carried into small coefficients.  The result is
-    verified by node doubling; disagreement beyond the requested tolerance raises
+    verified by node doubling: the angular rule is always doubled, the radial
+    rule only where it is not exact for the integrand's degree n + n0.
+    Disagreement beyond the requested tolerance raises
     QuadratureConvergenceError rather than returning a silent value.
     """
     if target.m != 0:

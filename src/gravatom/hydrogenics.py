@@ -72,7 +72,8 @@ class AtomicState:
 
 
 #: Largest node count a QuadratureSpec accepts.  Both rules come from dense
-#: eigenproblems of twice that size (node doubling), so memory grows as m^2.
+#: eigenproblems, so memory grows as m^2; node doubling builds the angular
+#: rule at twice the count, and the radial rule too where n + n0 > 2m - 1.
 MAX_NODE_COUNT = 1024
 
 

@@ -497,6 +497,29 @@ class TestUsageErrors:
         assert not re.fullmatch(r"gravatom: -?\d+", err.strip().splitlines()[-1])
         assert named in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("omega,cycles,message", [
+        ("1e-310Hz", "3", "--omega '1e-310Hz' overflows: one cycle lasts inf s"),
+        ("1e-300Hz", "1e12",
+         "--cycles 1000000000000.0 overflows: 2 pi n / omega is inf at n = 182518349"),
+    ], ids=["one-cycle", "many-cycles"])
+    def test_rabi_cycles_with_tiny_omega_names_its_input(self, capsys, omega, cycles, message):
+        # 2 pi n / omega overflows to inf, and math.sin(inf) is a domain error
+        code, out, err = run(capsys, "rabi", "--omega", omega, "--detuning-rad-s", "0",
+                             "--cycles", cycles)
+        assert (code, out, err) == (EXIT_USAGE, "", f"gravatom: {message}\n")
+
+    @pytest.mark.parametrize("output,reason", [
+        (".", "Is a directory"),
+        ("missing/out.csv", "No such file or directory"),
+    ], ids=["directory", "missing-directory"])
+    def test_unwritable_output_names_output(self, capsys, tmp_path, output, reason):
+        path = tmp_path / output
+        code, out, err = run(capsys, "detuning", "--lower", "1s", "--upper", "2p",
+                             "--strain", "0", "--output", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"gravatom: --output {str(path)!r}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_tol_must_be_positive_and_finite(self, capsys, value):
         code, out, err = run(capsys, "decompose", "--n", "2", "--l", "0", "--strain", "1e-3",

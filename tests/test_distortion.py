@@ -390,6 +390,15 @@ def _reference_overlap(target, source, sp, m_rad, m_ang):
     return 2.0 * math.pi * math.fsum((wx * (y_t * y_s * rad)).tolist()) + delta_ts
 
 
+def _fine_radial(target, source, m_rad):
+    """The fine grid's radial count: doubled only where m_rad nodes are not exact.
+
+    The radial integrand is a polynomial of degree n + n0 times e^{-u}, and an
+    m-node Gauss-Laguerre rule is exact through degree 2m - 1.
+    """
+    return m_rad if target.n + source.n <= 2 * m_rad - 1 else 2 * m_rad
+
+
 class TestBatchedWindow:
     """The window is evaluated one n at a time in angular blocks; values must not move."""
 
@@ -405,7 +414,8 @@ class TestBatchedWindow:
         assert len(dec.entries) == sum(
             min(10, n - 1) + 1 for n in range(max(1, n0 - 4), n0 + 5))
         for target, c in dec.entries:
-            assert c == _reference_overlap(target, source, sp, 2 * m_rad, 2 * m_ang), target
+            fine_rad = _fine_radial(target, source, m_rad)
+            assert c == _reference_overlap(target, source, sp, fine_rad, 2 * m_ang), target
 
     @pytest.mark.parametrize("m_ang", [3, 33, 65])
     def test_overlap_matches_per_target_formula(self, m_ang):
@@ -413,13 +423,25 @@ class TestBatchedWindow:
         for target, source in [((4, 2), (3, 0)), ((3, 0), (3, 0)), ((7, 3), (2, 1))]:
             target, source = AtomicState(*target), AtomicState(*source)
             value = overlap_numeric(target, source, Strain(0.2), quad)
-            assert value == _reference_overlap(target, source, 0.2, 18, 2 * m_ang)
+            fine_rad = _fine_radial(target, source, 9)
+            assert value == _reference_overlap(target, source, 0.2, fine_rad, 2 * m_ang)
+
+    def test_window_across_the_exact_degree_matches_per_target_formula(self):
+        # 2 m_rad - 1 = 9: n + 6 <= 9 keeps the 5-node rule for n = 2, 3, and
+        # every n from 4 to 10 doubles it
+        quad = QuadratureSpec(5, 33, target_abs_tolerance=1.0)
+        source = AtomicState(6, 1)
+        dec = numeric_decomposition(source, Strain(-0.04), quad)
+        assert {_fine_radial(t, source, 5) for t, _ in dec.entries} == {5, 10}
+        for target, c in dec.entries:
+            fine_rad = _fine_radial(target, source, 5)
+            assert c == _reference_overlap(target, source, -0.04, fine_rad, 66), target
 
     def test_default_grid_memory(self):
         # the grid is walked in 32-row angular blocks; the whole-grid
         # evaluation peaked at 7.8 MB here
-        for m in (200, 400):  # the cached rules are built outside the trace
-            gauss_laguerre_scaled(m)
+        gauss_laguerre_scaled(200)  # the cached rules are built outside the trace
+        for m in (200, 400):
             gauss_legendre_nodes(m)
         tracemalloc.start()
         try:
@@ -428,6 +450,33 @@ class TestBatchedWindow:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+class TestRadialDoubling:
+    """The fine grid doubles the radial rule only where it is not exact for n + n0."""
+
+    @pytest.fixture
+    def radial_sizes(self, monkeypatch):
+        sizes = []
+
+        def spy(m):
+            sizes.append(m)
+            return gauss_laguerre_scaled(m)
+
+        monkeypatch.setattr(distortion, "gauss_laguerre_scaled", spy)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "target,sizes", [((4, 2), [4]), ((5, 2), [4, 8])], ids=["2m-1", "2m"]
+    )
+    def test_boundary(self, radial_sizes, target, sizes):
+        quad = QuadratureSpec(4, 8, target_abs_tolerance=1.0)
+        overlap_numeric(AtomicState(*target), AtomicState(3, 0), Strain(1e-2), quad)
+        assert sorted(set(radial_sizes)) == sizes
+
+    def test_default_grid_builds_only_the_200_node_rule(self, radial_sizes):
+        numeric_decomposition(AtomicState(3, 0), Strain(1e-3))
+        assert radial_sizes and set(radial_sizes) == {200}
 
 
 class TestSpectralDecompositionType:
