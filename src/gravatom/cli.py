@@ -337,6 +337,19 @@ def _overflow_names(option: str, value: float):
         raise OverflowError(f"{option} {value!r} overflows: {_error_text(exc)}") from None
 
 
+def _finite_rabi_row(row: tuple) -> tuple:
+    """A rabi row, or an OverflowError naming its first non-finite deviation.
+
+    The formulas overflow to inf or nan, without raising, when Delta / omega
+    or Delta^2 t / omega is out of range (a tiny --omega, a huge --time).
+    """
+    for name, value in zip(("excited_probability", "deviation_exact",
+                            "deviation_small_detuning", "deviation_short_time"), row[2:6]):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} is {value!r} at t = {row[1]!r} s")
+    return row
+
+
 def cmd_rabi(args) -> int:
     cfg, metadata = _rabi_config(args)
     metadata = {"command": "rabi", "version": __version__, **metadata}
@@ -349,14 +362,14 @@ def cmd_rabi(args) -> int:
     rows: list[tuple] = []
     for t in args.time or ():
         with _overflow_names("--time", t):
-            rows.append((
+            rows.append(_finite_rabi_row((
                 t * cfg.omega / (2.0 * math.pi), t,
                 excited_probability(cfg, t),
                 deviation_exact(cfg, t),
                 deviation_small_detuning(cfg, t),
                 deviation_short_time(cfg, t),
                 cfg.regime(t).value,
-            ))
+            )))
     if args.cycles is not None:
         n_max = int(args.cycles)
         if n_max < 0:
@@ -370,14 +383,14 @@ def cmd_rabi(args) -> int:
                 if math.isinf(t):
                     # math.sin(inf) would raise a bare "math domain error"
                     raise OverflowError(f"2 pi n / omega is inf at n = {n}")
-                rows.append((
+                rows.append(_finite_rabi_row((
                     n, t,
                     excited_probability(cfg, t),
                     deviation_exact_at_cycles(cfg, n),
                     deviation_small_detuning(cfg, t),
                     deviation_short_time(cfg, t),
                     cfg.regime(t).value,
-                ))
+                )))
     if not rows and args.cycles is None:
         raise ValueError("provide at least one --time or a --cycles count")
     _emit(args, columns, metadata, rows)

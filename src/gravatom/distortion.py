@@ -7,7 +7,7 @@ separate:
   wavefunction against each basis state.  This is the ground truth.  The
   (n, l) window is evaluated one n at a time: the source-side radial factors
   depend on n but not on the target l, so they are shared by every l of that
-  n, and the grid is walked in blocks of _ANGULAR_BLOCK angular rows.  Every
+  n, and the grid is walked in blocks of about _BLOCK_POINTS points.  Every
   value is elementwise within its angular row and every row has its own
   fsum, so each coefficient is bit-identical to a target-by-target,
   whole-grid evaluation.
@@ -71,9 +71,10 @@ __all__ = [
 #: |C| predicted beyond this fraction of unity triggers a linearity warning.
 SLOPE_SANITY_LIMIT = 0.1
 
-#: Angular rows of the numeric oracle's grid evaluated together; 32 rows keep
-#: the traced peak of a default-grid decomposition near 1.7 MB.
-_ANGULAR_BLOCK = 32
+#: Grid points of the numeric oracle evaluated together: max(1, 6400 // m_rad)
+#: angular rows, 32 rows of a 200-node radial rule.  This bounds the traced
+#: peak of a decomposition whatever the rule sizes.
+_BLOCK_POINTS = 6400
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,9 @@ def _radial_deviations(
     overlaps.
 
     beta, h and the source factor Q_s depend on n but not on l, so each block
-    of _ANGULAR_BLOCK rows builds them once for every l.
+    of max(1, _BLOCK_POINTS // m_rad) angular rows builds them once for every
+    l.  Every value is elementwise within its row and every row has its own
+    fsum, so the block size never changes a result.
     """
     n0 = source.n
     u, w_scaled = gauss_laguerre_scaled(m_rad)
@@ -239,8 +242,9 @@ def _radial_deviations(
     beta1 = n0 / (n0 + n)
     y_t, y_s = 2.0 * beta1 * u, 2.0 * (1.0 - beta1) * u
     row_sums: list[list[float]] = [[] for _ in ls]
-    for start in range(0, len(one_minus_a), _ANGULAR_BLOCK):
-        block = one_minus_a[start:start + _ANGULAR_BLOCK]
+    rows = max(1, _BLOCK_POINTS // m_rad)
+    for start in range(0, len(one_minus_a), rows):
+        block = one_minus_a[start:start + rows]
         d_beta = ((n0 * n / (n0 + n)) * block / (n0 + n - n * block))[:, None]
         beta = beta1 + d_beta
         h = 2.0 * d_beta * u
@@ -289,18 +293,25 @@ def _converged_overlaps(
 ) -> list[float]:
     """Overlaps of the targets (n, l), l in ls, each checked by node doubling.
 
-    The fine grid doubles the angular rule: the angular integrand goes through
-    A(x) and is not a polynomial.  The radial integrand is a polynomial of
-    degree n + n0 times e^{-u} (see _radial_deviations), and an m-node
-    Gauss-Laguerre rule is exact through degree 2m - 1 (Golub & Welsch, Math.
-    Comp. 23, 221 (1969)), so the radial rule is doubled only where it is not
-    exact for that degree; where it is, a doubled rule would only add roundoff.
+    The radial integrand is a polynomial of degree n + n0 times e^{-u} (see
+    _radial_deviations), and an m-node Gauss-Laguerre rule is exact through
+    degree 2m - 1 (Golub & Welsch, Math. Comp. 23, 221 (1969)).  Where the
+    requested m_rad nodes are exact for that degree, both grids use the
+    smallest exact rule, (n + n0) // 2 + 1 nodes: a larger one gives the same
+    integral plus roundoff.  Where they are not, the coarse grid uses m_rad
+    nodes and the fine grid 2 m_rad.  The fine grid always doubles the angular
+    rule, which is never exact: the angular integrand goes through A(x) and is
+    not a polynomial.
     """
     if source.m != 0:
         raise ValueError("overlap_numeric requires m = 0 states")
     m_rad, m_ang = quad.radial_node_count, quad.angular_node_count
-    fine_rad = m_rad if n + source.n <= 2 * m_rad - 1 else 2 * m_rad
-    coarse = _overlaps_on_grid(n, ls, source, strain, m_rad, m_ang)
+    degree = n + source.n
+    if degree <= 2 * m_rad - 1:
+        coarse_rad = fine_rad = degree // 2 + 1
+    else:
+        coarse_rad, fine_rad = m_rad, 2 * m_rad
+    coarse = _overlaps_on_grid(n, ls, source, strain, coarse_rad, m_ang)
     fine = _overlaps_on_grid(n, ls, source, strain, fine_rad, 2 * m_ang)
     for l, c, f in zip(ls, coarse, fine):
         if abs(f - c) > quad.target_abs_tolerance:
@@ -323,9 +334,10 @@ def overlap_numeric(
     deviation of the radial overlap from the identity map (A = 1) goes through
     quadrature; its exact projection delta_ts is added analytically, so no
     angular-weight roundoff is carried into small coefficients.  The result is
-    verified by node doubling: the angular rule is always doubled, the radial
-    rule only where it is not exact for the integrand's degree n + n0.
-    Disagreement beyond the requested tolerance raises
+    verified by node doubling: the angular rule is always doubled.  The radial
+    rule is the smallest one exact for the integrand's degree n + n0, at most
+    quad.radial_node_count nodes; where that many are not exact, the radial
+    rule is doubled too.  Disagreement beyond the requested tolerance raises
     QuadratureConvergenceError rather than returning a silent value.
     """
     if target.m != 0:

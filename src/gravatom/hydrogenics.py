@@ -73,7 +73,9 @@ class AtomicState:
 
 #: Largest node count a QuadratureSpec accepts.  Both rules come from dense
 #: eigenproblems, so memory grows as m^2; node doubling builds the angular
-#: rule at twice the count, and the radial rule too where n + n0 > 2m - 1.
+#: rule at twice the count.  The radial count is an upper limit: the oracle
+#: uses the smallest rule exact for degree n + n0, and builds the 2m-node one
+#: only where n + n0 > 2m - 1.
 MAX_NODE_COUNT = 1024
 
 

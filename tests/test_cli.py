@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gravatom
 from gravatom.cli import (
@@ -563,6 +566,88 @@ class TestUsageErrors:
         _, joined, _ = run(capsys, *argv, "=".join(spaced))
         assert code == EXIT_OK
         assert out == joined
+
+
+_LOWER = st.sampled_from(["1s", "2s", "2p", "3p", "2d", "x"])
+_UPPER = st.sampled_from(["3s", "3d", "4f", "5g", "6h", "1s"])
+_STRAINS = st.one_of(
+    st.floats(-0.49, 0.49, allow_nan=False),
+    st.sampled_from([0.0, 1e-300, -1e-20, 0.5, -0.5, 1e300]),
+)
+_OMEGAS = st.sampled_from(["47kHz", "2.9e5rad/s", "1MHz", "1e-300Hz", "0Hz", "-3kHz", "1e300Hz"])
+
+
+def _opt(name, values):
+    """["--name=value"], or [] to leave the option at its default."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v!r}" if isinstance(v, float)
+                                                        else f"{name}={v}"]))
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["decompose", "detuning", "rabi", "figure2", "verify"]))
+    argv = [command]
+    if command == "decompose":
+        # invalid values last: hypothesis leans towards the first ones
+        n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 0]))
+        argv += ["--n", str(n), "--l", str(draw(st.sampled_from([*range(n), -1]))),
+                 f"--strain={draw(_STRAINS)!r}"]
+        argv += draw(_opt("--method", st.sampled_from(["numeric", "series", "closed-form", "all"])))
+        argv += draw(_opt("--k-max", st.integers(0, 4)))
+        argv += draw(_opt("--delta-n", st.integers(-1, 2)))
+        argv += draw(_opt("--l-max", st.integers(-1, 6)))
+        argv += ["--radial-nodes", str(draw(st.sampled_from([*range(2, 17), 1]))),
+                 "--angular-nodes", str(draw(st.sampled_from([*range(2, 17), 1])))]
+        argv += draw(_opt("--tol", st.sampled_from([1e-16, 1e-10, 1e-3, 1.0, 0.0])))
+    elif command in ("detuning", "figure2"):
+        argv += ["--lower", draw(_LOWER), "--upper", draw(_UPPER),
+                 f"--strain={draw(_STRAINS)!r}"]
+        argv += draw(_opt("--species", st.sampled_from(["hydrogen", "rb-example", "x"])))
+        if command == "figure2":
+            argv += [f"--omega={draw(_OMEGAS)}", "--cycles", str(draw(st.integers(-1, 50)))]
+        else:
+            argv += draw(_opt("--frequency", st.sampled_from([0.0, 6.8e9, -1.0, 1e300])))
+    elif command == "rabi":
+        argv += [f"--omega={draw(_OMEGAS)}"]
+        argv += draw(st.one_of(
+            _opt("--detuning-rad-s", st.sampled_from([0.0, 1e-3, -2e2, 1e300])),
+            st.tuples(_LOWER, _UPPER).map(lambda pair: [f"--detuning-from={pair[0]}:{pair[1]}"]),
+        ))
+        argv += draw(_opt("--strain", _STRAINS))
+        argv += draw(st.one_of(
+            _opt("--cycles", st.sampled_from([0.0, 3.0, 50.0, 250.0, -1.0])),
+            st.lists(st.sampled_from([0.0, 1e-6, 2.5, -1.0, 1e300]), max_size=2).map(
+                lambda times: [f"--time={t!r}" for t in times]),
+        ))
+    else:
+        argv += draw(_opt("--suite", st.sampled_from(["table1", "identity", "claims", "all"])))
+    argv += draw(_opt("--format", st.sampled_from(["csv", "json"])))
+    return argv
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestFuzz:
+    """Small inputs through main: a documented exit code, never a traceback,
+    and no non-finite number on a successful run."""
+
+    @given(_fuzz_argv())
+    @example(["rabi", "--omega=1e-300Hz", "--detuning-rad-s=0.001", "--time=0.0"])
+    @settings(max_examples=150, deadline=None)
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main(argv)  # an exception here is the traceback a user would see
+        allowed = {EXIT_OK, EXIT_USAGE, EXIT_NO_CONVERGENCE}
+        if argv[0] == "verify":
+            allowed.add(EXIT_VERIFY_FAILED)
+        assert code in allowed, (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == EXIT_OK:
+            assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
 
 
 def test_cli_import_does_not_load_scipy():

@@ -391,23 +391,28 @@ def _reference_overlap(target, source, sp, m_rad, m_ang):
 
 
 def _fine_radial(target, source, m_rad):
-    """The fine grid's radial count: doubled only where m_rad nodes are not exact.
+    """The fine grid's radial count: the smallest exact rule, or 2 m_rad.
 
     The radial integrand is a polynomial of degree n + n0 times e^{-u}, and an
-    m-node Gauss-Laguerre rule is exact through degree 2m - 1.
+    m-node Gauss-Laguerre rule is exact through degree 2m - 1.  Where m_rad
+    nodes are exact, both grids use (n + n0) // 2 + 1 nodes; where they are
+    not, the fine grid doubles m_rad.
     """
-    return m_rad if target.n + source.n <= 2 * m_rad - 1 else 2 * m_rad
+    degree = target.n + source.n
+    return degree // 2 + 1 if degree <= 2 * m_rad - 1 else 2 * m_rad
 
 
 class TestBatchedWindow:
     """The window is evaluated one n at a time in angular blocks; values must not move."""
 
-    # folded fine-grid rows: 66 -> 33, 130 -> 65, 260 -> 130 and, on the
-    # default grid, 400 -> 200; none a multiple of the 32-row block
+    # folded fine-grid rows: 66 -> 33, 130 -> 65, 260 -> 130 and 1000 -> 500.
+    # A block holds 6400 // m rows of an m-node radial rule: at n0 = 12 the
+    # exact rules of n = 12...16 have 13 to 15 nodes, so their 500 rows span
+    # one full block (426 to 492 rows) and end in a partial one
     @pytest.mark.parametrize("n0", range(1, 13))
     @pytest.mark.parametrize("sp", [2e-3, -0.04])
     def test_decomposition_matches_per_target_formula(self, n0, sp):
-        m_rad, m_ang = (200, 200) if n0 == 12 else ((12, 33), (20, 65), (16, 130))[n0 % 3]
+        m_rad, m_ang = (200, 500) if n0 == 12 else ((12, 33), (20, 65), (16, 130))[n0 % 3]
         quad = QuadratureSpec(m_rad, m_ang, target_abs_tolerance=1.0)
         source = AtomicState(n0, n0 // 3)
         dec = numeric_decomposition(source, Strain(sp), quad)
@@ -438,10 +443,9 @@ class TestBatchedWindow:
             assert c == _reference_overlap(target, source, -0.04, fine_rad, 66), target
 
     def test_default_grid_memory(self):
-        # the grid is walked in 32-row angular blocks; the whole-grid
-        # evaluation peaked at 7.8 MB here
-        gauss_laguerre_scaled(200)  # the cached rules are built outside the trace
-        for m in (200, 400):
+        # the grid is walked in blocks of at most 6400 points; the whole-grid
+        # evaluation on the 200-node radial rule peaked at 7.8 MB here
+        for m in (200, 400):  # the cached rules are built outside the trace
             gauss_legendre_nodes(m)
         tracemalloc.start()
         try:
@@ -453,7 +457,8 @@ class TestBatchedWindow:
 
 
 class TestRadialDoubling:
-    """The fine grid doubles the radial rule only where it is not exact for n + n0."""
+    """Both grids use the smallest exact radial rule; where m_rad nodes are not
+    exact for n + n0, the coarse grid uses m_rad and the fine grid 2 m_rad."""
 
     @pytest.fixture
     def radial_sizes(self, monkeypatch):
@@ -474,9 +479,10 @@ class TestRadialDoubling:
         overlap_numeric(AtomicState(*target), AtomicState(3, 0), Strain(1e-2), quad)
         assert sorted(set(radial_sizes)) == sizes
 
-    def test_default_grid_builds_only_the_200_node_rule(self, radial_sizes):
+    def test_default_grid_asks_only_for_exact_degree_rules(self, radial_sizes):
+        # n = 1...7 around the 3s source: (n + 3) // 2 + 1 nodes, coarse and fine
         numeric_decomposition(AtomicState(3, 0), Strain(1e-3))
-        assert radial_sizes and set(radial_sizes) == {200}
+        assert radial_sizes == [(n + 3) // 2 + 1 for n in range(1, 8) for _ in "cf"]
 
 
 class TestSpectralDecompositionType:
