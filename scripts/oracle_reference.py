@@ -33,8 +33,9 @@ from mpmath import mp, mpf
 DIGITS = 40
 #: Extra working digits absorbing the cancellation in the x integral.
 GUARD_DIGITS = 20
-#: (n0, s_p) cases of the same-n Delta-l = 2 overlap (n0, 2) <- (n0, 0).
-GOLDEN_CASES = tuple((n0, sp) for n0 in (3, 5, 8) for sp in (1e-3, 1e-4, 1e-5))
+#: (n0, s_p) cases of the same-n Delta-l = 2 overlap (n0, 2) <- (n0, 0), and
+#: one at a Rydberg n0 that the detuning claims name.
+GOLDEN_CASES = tuple((n0, sp) for n0 in (3, 5, 8) for sp in (1e-3, 1e-4, 1e-5)) + ((50, 1e-8),)
 
 
 def radial_norm(n: int, l: int) -> mpf:

@@ -152,11 +152,7 @@ def _emit(args, columns: Columns, metadata: dict, rows: Iterable[Sequence]) -> N
 
 
 def _quad_from_args(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        radial_node_count=args.radial_nodes,
-        angular_node_count=args.angular_nodes,
-        target_abs_tolerance=args.tol,
-    )
+    return QuadratureSpec(angular_node_count=args.angular_nodes, target_abs_tolerance=args.tol)
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -169,7 +165,6 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_quadrature_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--radial-nodes", type=int, default=200)
     p.add_argument("--angular-nodes", type=int, default=200)
     p.add_argument(
         "--tol", type=_positive_float, default=1e-10, help="absolute quadrature tolerance"
@@ -214,9 +209,11 @@ def cmd_decompose(args) -> int:
     }
     for method in methods:
         if method == "numeric":
-            dec = numeric_decomposition(
-                source, strain, quad, delta_n=args.delta_n, l_max=args.l_max
-            )
+            # a radial Taylor coefficient outgrows a double only at a large n
+            with _overflow_names("--n", args.n):
+                dec = numeric_decomposition(
+                    source, strain, quad, delta_n=args.delta_n, l_max=args.l_max
+                )
             metadata["numeric_direct_norm"] = dec.direct_norm
             metadata["numeric_norm_sum"] = dec.norm_sum
             rows.extend(_decomposition_rows(dec))
@@ -337,6 +334,20 @@ def _overflow_names(option: str, value: float):
         raise OverflowError(f"{option} {value!r} overflows: {_error_text(exc)}") from None
 
 
+def _omega_overflow(args, cfg: RabiConfig, t: float, exc: ValueError) -> Exception:
+    """The error to report for a ValueError from a rabi row at time t.
+
+    math.sin(inf) raises a bare "math domain error" when Delta^2 t / (4 omega)
+    overflows while t stays finite (a tiny --omega); that one is named after
+    --omega.  Any other ValueError is returned as it is.
+    """
+    if t >= 0 and math.isinf(cfg.detuning**2 * t / (4.0 * cfg.omega)):
+        return OverflowError(
+            f"--omega {args.omega!r} overflows: Delta^2 t / (4 omega) is inf at t = {t!r} s"
+        )
+    return exc
+
+
 def _finite_rabi_row(row: tuple) -> tuple:
     """A rabi row, or an OverflowError naming its first non-finite deviation.
 
@@ -360,37 +371,41 @@ def cmd_rabi(args) -> int:
         ("deviation_short_time", "%r"), ("regime", "%s"),
     )
     rows: list[tuple] = []
-    for t in args.time or ():
-        with _overflow_names("--time", t):
-            rows.append(_finite_rabi_row((
-                t * cfg.omega / (2.0 * math.pi), t,
-                excited_probability(cfg, t),
-                deviation_exact(cfg, t),
-                deviation_small_detuning(cfg, t),
-                deviation_short_time(cfg, t),
-                cfg.regime(t).value,
-            )))
-    if args.cycles is not None:
-        n_max = int(args.cycles)
-        if n_max < 0:
-            raise ValueError(f"--cycles must be >= 0, got {args.cycles:g}")
-        metadata["cycle_samples"] = "log-spaced" if n_max > 200 else "dense"
-        if n_max and math.isinf(2.0 * math.pi / cfg.omega):
-            raise OverflowError(f"--omega {args.omega!r} overflows: one cycle lasts inf s")
-        with _overflow_names("--cycles", args.cycles):
-            for n in _cycle_samples(n_max):
-                t = 2.0 * math.pi * n / cfg.omega
-                if math.isinf(t):
-                    # math.sin(inf) would raise a bare "math domain error"
-                    raise OverflowError(f"2 pi n / omega is inf at n = {n}")
+    t = 0.0  # the time of the row being made, for _omega_overflow
+    try:
+        for t in args.time or ():
+            with _overflow_names("--time", t):
                 rows.append(_finite_rabi_row((
-                    n, t,
+                    t * cfg.omega / (2.0 * math.pi), t,
                     excited_probability(cfg, t),
-                    deviation_exact_at_cycles(cfg, n),
+                    deviation_exact(cfg, t),
                     deviation_small_detuning(cfg, t),
                     deviation_short_time(cfg, t),
                     cfg.regime(t).value,
                 )))
+        if args.cycles is not None:
+            n_max = int(args.cycles)
+            if n_max < 0:
+                raise ValueError(f"--cycles must be >= 0, got {args.cycles:g}")
+            metadata["cycle_samples"] = "log-spaced" if n_max > 200 else "dense"
+            if n_max and math.isinf(2.0 * math.pi / cfg.omega):
+                raise OverflowError(f"--omega {args.omega!r} overflows: one cycle lasts inf s")
+            with _overflow_names("--cycles", args.cycles):
+                for n in _cycle_samples(n_max):
+                    t = 2.0 * math.pi * n / cfg.omega
+                    if math.isinf(t):
+                        # math.sin(inf) would raise a bare "math domain error"
+                        raise OverflowError(f"2 pi n / omega is inf at n = {n}")
+                    rows.append(_finite_rabi_row((
+                        n, t,
+                        excited_probability(cfg, t),
+                        deviation_exact_at_cycles(cfg, n),
+                        deviation_small_detuning(cfg, t),
+                        deviation_short_time(cfg, t),
+                        cfg.regime(t).value,
+                    )))
+    except ValueError as exc:
+        raise _omega_overflow(args, cfg, t, exc) from None
     if not rows and args.cycles is None:
         raise ValueError("provide at least one --time or a --cycles count")
     _emit(args, columns, metadata, rows)

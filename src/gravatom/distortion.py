@@ -3,14 +3,12 @@
 Three routes to the expansion coefficients are provided and deliberately kept
 separate:
 
-* ``numeric`` -- brute-force 2D quadrature of the exact distorted
-  wavefunction against each basis state.  This is the ground truth.  The
-  (n, l) window is evaluated one n at a time: the source-side radial factors
-  depend on n but not on the target l, so they are shared by every l of that
-  n, and the grid is walked in blocks of about _BLOCK_POINTS points.  Every
-  value is elementwise within its angular row and every row has its own
-  fsum, so each coefficient is bit-identical to a target-by-target,
-  whole-grid evaluation.
+* ``numeric`` -- brute-force projection of the exact distorted wavefunction
+  on each basis state.  This is the ground truth.  The radial integral has
+  no grid: it is a polynomial in beta = n0 / (n0 + n A) with integer
+  coefficients, Taylor-shifted about A = 1 in exact integer arithmetic and
+  rounded once per coefficient (_radial_taylor).  Only the angular integral
+  is numeric, a Gauss-Legendre rule checked by node doubling.
 * ``series`` -- the k-expansion obtained from the Laguerre argument-scaling
   identity plus the small-strain approximations.  Its angular components
   (``theta_fraction``) and radial factors (``_series_radial_factor``, a
@@ -39,12 +37,9 @@ from .hydrogenics import (
     QuadratureConvergenceError,
     QuadratureSpec,
     fsum_dot,
-    gauss_laguerre_scaled,
     gauss_legendre_nodes,
     laguerre,
-    laguerre_increment,
     legendre,
-    radial_norm_constant,
     radial_wavefunction,
     spherical_harmonic_m0,
 )
@@ -70,11 +65,6 @@ __all__ = [
 
 #: |C| predicted beyond this fraction of unity triggers a linearity warning.
 SLOPE_SANITY_LIMIT = 0.1
-
-#: Grid points of the numeric oracle evaluated together: max(1, 6400 // m_rad)
-#: angular rows, 32 rows of a 200-node radial rule.  This bounds the traced
-#: peak of a decomposition whatever the rule sizes.
-_BLOCK_POINTS = 6400
 
 
 @dataclass(frozen=True)
@@ -200,119 +190,152 @@ def _half_legendre_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], np.where(x > 0.0, 2.0 * w, w)[keep]
 
 
-def _radial_poly_increment(l: int, n: int, y, h):
-    """Q(y + h) and Q(y + h) - Q(y) for Q(y) = y^l L_{n-l-1}^{2l+1}(y).
+@lru_cache(maxsize=256)
+def _y_half(l: int, m_ang: int) -> np.ndarray:
+    """Y_l^0 on the x >= 0 nodes of the m_ang-node rule (read-only, cached)."""
+    x, _ = _half_legendre_nodes(m_ang)
+    y = math.sqrt((2 * l + 1) / (4 * math.pi)) * legendre(l, x)
+    y.setflags(write=False)
+    return y
 
-    The power increment (y + h)^l - y^l = sum_k (y + h)^k h y^(l-1-k) is
-    accumulated term by term (every term has the sign of h, y >= 0), the
-    Laguerre increment by laguerre_increment.
+
+@lru_cache(maxsize=256)
+def _laguerre_integers(n: int, l: int) -> tuple[int, ...]:
+    """Integers a_J, J = 0 ... n-1, with N'! y^l L_N'^{2l+1}(y) = sum_J a_J y^J, N' = n-l-1.
+
+    a_{l+m} = (-1)^m C(n + l, N' - m) N'! / m! (DLMF 18.5.12); a_J = 0 for J < l.
     """
-    lag, d_lag = laguerre_increment(n - l - 1, 2 * l + 1, y, h)
-    yh = y + h
-    power, old_power, d_power = np.ones_like(yh), np.ones_like(y), np.zeros_like(yh)
-    for _ in range(l):
-        d_power = yh * d_power + h * old_power
-        power, old_power = power * yh, old_power * y
-    return power * lag, d_power * lag + old_power * d_lag
+    order = n - l - 1
+    return (0,) * l + tuple(
+        (-1) ** m * math.comb(n + l, order - m) * math.prod(range(m + 1, order + 1))
+        for m in range(order + 1)
+    )
 
 
-def _radial_deviations(
-    n: int, ls: list[int], source: AtomicState, one_minus_a: np.ndarray, m_rad: int
-) -> list[np.ndarray]:
-    """I(A) - I(1) for each target (n, l), l in ls, and a batch of A.
+@lru_cache(maxsize=1024)
+def _radial_taylor(n: int, l: int, n0: int, l0: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Taylor coefficients c_k of I(A) - I(1) in d = beta - beta1, and log2 |c_k|.
 
-    I(A) = int R_{n,l}(r) R_source(r A) r^2 dr.  With beta = n0 / (n0 + n A)
+    I(A) = int R_{n,l}(r) R_{n0,l0}(r A) r^2 dr.  With beta = n0 / (n0 + n A)
     and r = n beta u the two decays combine to e^{-u} and the Laguerre
     arguments become 2 beta u and 2 (1 - beta) u:
         I(A) = N_t N_s n^3 int e^{-u} u^2 beta^3 Q_t(2 beta u) Q_s(2 (1 - beta) u) du,
-    Q_l(y) = y^l L(y): a polynomial of degree n + n0 times e^{-u}, so the
-    m_rad-node Gauss-Laguerre rule is exact when n + n0 <= 2 m_rad - 1.  The
-    deviation from A = 1 is built from the increment of beta, which is
-    proportional to 1 - A, and never formed as a difference of two O(1)
-    overlaps.
-
-    beta, h and the source factor Q_s depend on n but not on l, so each block
-    of max(1, _BLOCK_POINTS // m_rad) angular rows builds them once for every
-    l.  Every value is elementwise within its row and every row has its own
-    fsum, so the block size never changes a result.
+    Q_l(y) = y^l L_{n-l-1}^{2l+1}(y).  Term by term (int u^p e^{-u} = p!),
+        I(A) N_t'! N_s'! / (N_t N_s n^3) = P(beta)
+            = sum_{J,K} a_J b_K 2^(J+K) (J+K+2)! beta^(J+3) (1 - beta)^K,
+    with a, b from _laguerre_integers: an integer polynomial of degree
+    D = n + n0 + 1, built by Horner's rule in (1 - beta) over K.  With
+    beta1 = n0 / (n0 + n) = p / q in lowest terms, E(t) = q^D P(t / q) has
+    integer coefficients; its Taylor shift by p (von zur Gathen & Gerhard,
+    ISSAC 1997) gives E(p + t) = sum_k f_k t^k, t = q d, so
+        I(A) - I(1) = sum_{k >= 1} c_k d^k,
+        c_k = f_k N_t N_s n^3 / (q^(D-k) N_t'! N_s'!) = 4 n f_k / (q^(D-k) sqrt(M)),
+    M = n0^4 (n+l)! N_t'! (n0+l0)! N_s'!.  Everything up to the one division
+    is exact integer arithmetic (sqrt(M) to 64 extra bits), so each c_k is
+    rounded once; one too large for a double is inf.  For (n, 2) <- (n, 0),
+    f_1 and with it c_1 is exactly 0.
     """
-    n0 = source.n
-    u, w_scaled = gauss_laguerre_scaled(m_rad)
-    weights = w_scaled * np.exp(-u) * u**2
-    beta1 = n0 / (n0 + n)
-    y_t, y_s = 2.0 * beta1 * u, 2.0 * (1.0 - beta1) * u
-    row_sums: list[list[float]] = [[] for _ in ls]
-    rows = max(1, _BLOCK_POINTS // m_rad)
-    for start in range(0, len(one_minus_a), rows):
-        block = one_minus_a[start:start + rows]
-        d_beta = ((n0 * n / (n0 + n)) * block / (n0 + n - n * block))[:, None]
-        beta = beta1 + d_beta
-        h = 2.0 * d_beta * u
-        q_s, d_q_s = _radial_poly_increment(source.l, n0, y_s, -h)
-        d_beta3 = d_beta * (beta**2 + beta * beta1 + beta1**2)
-        for l, sums in zip(ls, row_sums):
-            q_t, d_q_t = _radial_poly_increment(l, n, y_t, h)
-            deviation = d_beta3 * q_t * q_s + beta1**3 * (d_q_t * q_s + (q_t - d_q_t) * d_q_s)
-            sums.extend([math.fsum(row.tolist()) for row in weights * deviation])
-    norm_s = radial_norm_constant(n0, source.l)
-    return [
-        radial_norm_constant(n, l) * norm_s * n**3 * np.array(sums)
-        for l, sums in zip(ls, row_sums)
-    ]
+    a, b = _laguerre_integers(n, l), _laguerre_integers(n0, l0)
+    degree = n + n0 + 1
+    fact = [math.factorial(i) for i in range(max(n + n0, n + l, n0 + l0) + 1)]
+    a_scaled = [a_j << j for j, a_j in enumerate(a)]
+    poly = [0] * (degree + 1)  # P in powers of beta
+    for k in reversed(range(n0)):
+        for m in range(degree - k, 0, -1):  # poly *= 1 - beta: degree n + n0 + 1 - k
+            poly[m] -= poly[m - 1]
+        if b[k]:
+            b_k = b[k] << k
+            for j in range(l, n):
+                poly[j + 3] += b_k * a_scaled[j] * fact[j + k + 2]
+    g = math.gcd(n0, n0 + n)
+    p, q = n0 // g, (n0 + n) // g
+    powers = [1]
+    for _ in range(degree):
+        powers.append(powers[-1] * q)
+    e = [c * powers[degree - m] for m, c in enumerate(poly)]
+    for i in range(degree):  # Ruffini-Horner: pass i fixes f_i
+        for j in range(degree - 1, i - 1, -1):
+            e[j] += p * e[j + 1]
+    m_norm = (
+        n0**4 * fact[n + l] * fact[n - l - 1] * fact[n0 + l0] * fact[n0 - l0 - 1]
+    )
+    root = math.isqrt(m_norm << 128)
+    coeffs, logs = [], []
+    for k in range(1, degree + 1):
+        num, den = (4 * n * e[k]) << 64, powers[degree - k] * root
+        try:
+            coeffs.append(num / den)
+        except OverflowError:
+            coeffs.append(math.inf if num > 0 else -math.inf)
+        logs.append(math.log2(abs(num)) - math.log2(den) if num else -math.inf)
+    return tuple(coeffs), tuple(logs)
 
 
-def _y_m0_cos(l: int, x: np.ndarray) -> np.ndarray:
-    """Y_l^0 as a function of x = cos(theta)."""
-    return math.sqrt((2 * l + 1) / (4 * math.pi)) * legendre(l, x)
+def _radial_deviation(
+    n: int, l: int, source: AtomicState, d: np.ndarray, log2_d: float
+) -> np.ndarray:
+    """I(A) - I(1) for the target (n, l) at d = beta - beta1, max |d| = 2^log2_d.
+
+    Horner's rule on the Taylor coefficients of _radial_taylor, cut after the
+    last term that can reach 2^-53 / D of the largest at max |d|: the at most
+    D dropped terms move the sum by less than its own rounding.
+    """
+    coeffs, logs = _radial_taylor(n, l, source.n, source.l)
+    sizes = [log2_c + k * log2_d for k, log2_c in enumerate(logs, 1)]
+    floor = max(sizes) - 53 - math.log2(len(sizes))
+    kept = max(k for k, size in enumerate(sizes, 1) if size >= floor)
+    if math.isinf(max(coeffs[:kept], key=abs)):
+        raise OverflowError(
+            f"overlap {AtomicState(n, l)} <- {source}: a radial Taylor coefficient "
+            "overflows a double"
+        )
+    acc = np.full_like(d, coeffs[kept - 1])
+    for c in reversed(coeffs[:kept - 1]):
+        acc = acc * d + c
+    return acc * d
 
 
 def _overlaps_on_grid(
-    n: int, ls: list[int], source: AtomicState, strain: Strain, m_rad: int, m_ang: int
+    n: int, ls: list[int], source: AtomicState, strain: Strain, m_ang: int
 ) -> list[float]:
     """Overlaps of the targets (n, l), l in ls, with the distorted source on one grid."""
-    out = [0.0] * len(ls)  # Y_t Y_s is odd in x = cos(theta) for odd l + l0, I(A(x)) even
-    even = [i for i, l in enumerate(ls) if (l + source.l) % 2 == 0]
-    if not even:
-        return out
+    # Y_t Y_s is odd in x = cos(theta) for odd l + l0, and I(A(x)) even
+    out = [1.0 if (n, l) == (source.n, source.l) else 0.0 for l in ls]
     x, wx = _half_legendre_nodes(m_ang)
     one_minus_a = _strain_deviation_cos(x, strain.s_p)
+    # d = beta(A) - beta1 in a form proportional to 1 - A, free of cancellation
+    n0 = source.n
+    d = (n0 * n / (n0 + n)) * one_minus_a / (n0 + n - n * one_minus_a)
+    d_max = float(np.max(np.abs(d)))
+    if d_max == 0.0:
+        return out
+    log2_d = math.log2(d_max)
     # 2 pi int Y_t Y_s I(1) dx = delta_ts exactly, but Gauss-Legendre weights
     # reproduce angular orthogonality only to roundoff, and projecting the
     # O(1) I(1) through them would bias C by ~1e-14 at every strain.  Only
     # the deviation I(A) - I(1) is projected; delta_ts is added analytically.
-    rads = _radial_deviations(n, [ls[i] for i in even], source, one_minus_a, m_rad)
-    y_s = _y_m0_cos(source.l, x)
-    for i, rad in zip(even, rads):
-        delta_ts = 1.0 if (n, ls[i]) == (source.n, source.l) else 0.0
-        out[i] = 2.0 * math.pi * fsum_dot(wx, _y_m0_cos(ls[i], x) * y_s * rad) + delta_ts
+    weights = 2.0 * math.pi * wx * _y_half(source.l, m_ang)
+    for i, l in enumerate(ls):
+        if (l + source.l) % 2 == 0:
+            rad = _radial_deviation(n, l, source, d, log2_d)
+            out[i] += fsum_dot(weights, _y_half(l, m_ang) * rad)
     return out
 
 
 def _converged_overlaps(
     n: int, ls: list[int], source: AtomicState, strain: Strain, quad: QuadratureSpec
 ) -> list[float]:
-    """Overlaps of the targets (n, l), l in ls, each checked by node doubling.
+    """Overlaps of the targets (n, l), l in ls, each checked by angular node doubling.
 
-    The radial integrand is a polynomial of degree n + n0 times e^{-u} (see
-    _radial_deviations), and an m-node Gauss-Laguerre rule is exact through
-    degree 2m - 1 (Golub & Welsch, Math. Comp. 23, 221 (1969)).  Where the
-    requested m_rad nodes are exact for that degree, both grids use the
-    smallest exact rule, (n + n0) // 2 + 1 nodes: a larger one gives the same
-    integral plus roundoff.  Where they are not, the coarse grid uses m_rad
-    nodes and the fine grid 2 m_rad.  The fine grid always doubles the angular
-    rule, which is never exact: the angular integrand goes through A(x) and is
-    not a polynomial.
+    The radial integral is exact (_radial_taylor), so the coarse and fine
+    grids share it; the fine grid doubles the angular rule, which is never
+    exact: the angular integrand goes through A(x) and is not a polynomial.
     """
     if source.m != 0:
         raise ValueError("overlap_numeric requires m = 0 states")
-    m_rad, m_ang = quad.radial_node_count, quad.angular_node_count
-    degree = n + source.n
-    if degree <= 2 * m_rad - 1:
-        coarse_rad = fine_rad = degree // 2 + 1
-    else:
-        coarse_rad, fine_rad = m_rad, 2 * m_rad
-    coarse = _overlaps_on_grid(n, ls, source, strain, coarse_rad, m_ang)
-    fine = _overlaps_on_grid(n, ls, source, strain, fine_rad, 2 * m_ang)
+    m_ang = quad.angular_node_count
+    coarse = _overlaps_on_grid(n, ls, source, strain, m_ang)
+    fine = _overlaps_on_grid(n, ls, source, strain, 2 * m_ang)
     for l, c, f in zip(ls, coarse, fine):
         if abs(f - c) > quad.target_abs_tolerance:
             raise QuadratureConvergenceError(
@@ -330,15 +353,14 @@ def overlap_numeric(
 ) -> float:
     """Expansion coefficient C = 2 pi iint psi_target psi' r^2 sin(theta) dr dtheta.
 
-    The trivial phi integral is folded into the 2 pi prefactor.  Only the
-    deviation of the radial overlap from the identity map (A = 1) goes through
-    quadrature; its exact projection delta_ts is added analytically, so no
-    angular-weight roundoff is carried into small coefficients.  The result is
-    verified by node doubling: the angular rule is always doubled.  The radial
-    rule is the smallest one exact for the integrand's degree n + n0, at most
-    quad.radial_node_count nodes; where that many are not exact, the radial
-    rule is doubled too.  Disagreement beyond the requested tolerance raises
-    QuadratureConvergenceError rather than returning a silent value.
+    The trivial phi integral is folded into the 2 pi prefactor.  The radial
+    integral is exact (_radial_taylor), and only its deviation from the
+    identity map (A = 1) is projected on the angular rule; the exact
+    projection delta_ts is added analytically, so no angular-weight roundoff
+    is carried into small coefficients.  The result is verified by angular
+    node doubling (quad.radial_node_count is not used).  Disagreement beyond
+    the requested tolerance raises QuadratureConvergenceError rather than
+    returning a silent value.
     """
     if target.m != 0:
         raise ValueError("overlap_numeric requires m = 0 states")
@@ -347,8 +369,12 @@ def overlap_numeric(
 
 def _norm_on_grid(source: AtomicState, strain: Strain, m_ang: int) -> float:
     x, wx = _half_legendre_nodes(m_ang)
-    a = 1.0 - _strain_deviation_cos(x, strain.s_p)
-    return 2.0 * math.pi * fsum_dot(wx, _y_m0_cos(source.l, x) ** 2 / a**3)
+    one_minus_a = _strain_deviation_cos(x, strain.s_p)
+    a = 1.0 - one_minus_a
+    # 2 pi int Y^2 dx = 1 exactly, added analytically as delta_ts is for the
+    # overlaps: only A^-3 - 1 = (1 - A)(1 + A + A^2) / A^3 meets the weights
+    deviation = one_minus_a * (1.0 + a + a * a) / a**3
+    return 1.0 + 2.0 * math.pi * fsum_dot(wx, _y_half(source.l, m_ang) ** 2 * deviation)
 
 
 def distorted_norm_numeric(

@@ -14,16 +14,15 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import constants
 from .distortion import Strain
-from .transitions import DetuningResult, TransitionSpec, transition_detuning
+from .transitions import TransitionSpec, transition_detuning
 
 __all__ = [
     "RabiConfig",
-    "DeviationSeries",
     "Regime",
     "excited_probability",
     "deviation_exact",
@@ -33,7 +32,6 @@ __all__ = [
     "deviation_at_cycles",
     "figure2_config",
     "figure2_rows",
-    "figure2_series",
     "DETUNING_RATIO_SERIES_THRESHOLD",
 ]
 
@@ -72,20 +70,6 @@ class RabiConfig:
         if detuning_sq == 0.0:
             return Regime.SHORT_TIME
         return Regime.SHORT_TIME if t < math.pi * self.omega / detuning_sq else Regime.LONG_TIME
-
-
-@dataclass(frozen=True)
-class DeviationSeries:
-    """Deviation curves sampled at completed cycles."""
-
-    abscissa: tuple[int, ...]  # cycle counts N
-    at_cycles: tuple[float, ...]  # completed-cycle formula (N pi Delta^2 / 2 omega^2)^2
-    exact: tuple[float, ...]  # signed exact deviation at t = 2 N pi / omega
-    small_detuning: tuple[float, ...]
-    short_time: tuple[float, ...]
-    regime_flags: tuple[Regime, ...]
-    config: RabiConfig = RabiConfig(omega=1.0)
-    metadata: dict = field(default_factory=dict)
 
 
 def excited_probability(cfg: RabiConfig, t: float) -> float:
@@ -168,18 +152,14 @@ def deviation_at_cycles(cfg: RabiConfig, n_cycles: int) -> float:
 
 
 def figure2_config(
-    transition: TransitionSpec,
-    strain: Strain,
-    omega: float,
-    detuning: DetuningResult | None = None,
+    transition: TransitionSpec, strain: Strain, omega: float
 ) -> tuple[RabiConfig, dict]:
     """Rabi configuration and metadata of a strained transition's figure-2 curve.
 
     `omega` is angular (rad/s); the detuning is derived from the transition's
     strain response, Delta = delta / hbar.
     """
-    if detuning is None:
-        detuning = transition_detuning(transition, strain)
+    detuning = transition_detuning(transition, strain)
     delta_hartree = detuning.slope * strain.s_p
     delta_angular = constants.hartree_to_rad_per_s(delta_hartree)
     cfg = RabiConfig(omega=omega, detuning=delta_angular)
@@ -248,33 +228,3 @@ def figure2_rows(
             stacklevel=2,
         )
     return rows(range(1, n_cycles_max + 1))
-
-
-def figure2_series(
-    transition: TransitionSpec,
-    strain: Strain,
-    omega: float,
-    n_cycles_max: int,
-    detuning: DetuningResult | None = None,
-) -> DeviationSeries:
-    """Deviation-vs-completed-cycles curve for a strained transition.
-
-    `omega` is angular (rad/s); the rows are those of figure2_rows.
-    """
-    if n_cycles_max < 0:
-        raise ValueError("n_cycles_max must be >= 0")
-    cfg, metadata = figure2_config(transition, strain, omega, detuning)
-    rows = list(figure2_rows(cfg, n_cycles_max))
-    cycles, _, at_cycles, exact, small, short, regimes = (
-        tuple(zip(*rows)) if rows else ((),) * 7
-    )
-    return DeviationSeries(
-        abscissa=cycles,
-        at_cycles=at_cycles,
-        exact=exact,
-        small_detuning=small,
-        short_time=short,
-        regime_flags=tuple(map(Regime, regimes)),
-        config=cfg,
-        metadata=metadata,
-    )

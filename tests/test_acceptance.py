@@ -35,7 +35,8 @@ from gravatom.rabi import (
     RabiConfig,
     deviation_at_cycles,
     deviation_exact_at_cycles,
-    figure2_series,
+    figure2_config,
+    figure2_rows,
 )
 from gravatom.transitions import make_transition, transition_detuning
 from gravatom.verification import (
@@ -142,6 +143,7 @@ GOLDEN_ORACLE_OVERLAPS = {
     (8, 0.001): 2.599291971089813e-06,  # 2.599291971089813075202811184684066295058e-6
     (8, 0.0001): 2.6166833496262265e-08,  # 2.616683349626226597154550684551656626136e-8
     (8, 1e-05): 2.618421558949686e-10,  # 2.618421558949686355002934469986438700378e-10
+    (50, 1e-08): 1.0637292104200062e-14,  # 1.0637292104200062077527200130962917642e-14
 }
 
 
@@ -243,9 +245,10 @@ class TestCriterion7Rabi:
 class TestCriterion8Figure2:
     def test_loglog_slope_and_monotonicity(self):
         t = make_transition(AtomicState(50, 0), AtomicState(51, 1))
-        ser = figure2_series(t, Strain(1e-20), 2.0 * math.pi * 47e3, 1000)
-        n = np.array(ser.abscissa, dtype=float)
-        dev = np.abs(np.array(ser.exact))
+        cfg, _ = figure2_config(t, Strain(1e-20), 2.0 * math.pi * 47e3)
+        rows = list(figure2_rows(cfg, 1000))
+        n = np.array([row[0] for row in rows], dtype=float)
+        dev = np.abs(np.array([row[3] for row in rows]))
         slope = np.polyfit(np.log(n), np.log(dev), 1)[0]
         assert abs(slope - 2.0) <= 1e-3
         assert np.all(np.diff(dev) > 0)

@@ -30,11 +30,7 @@ from gravatom.hydrogenics import (
     AtomicState,
     QuadratureConvergenceError,
     QuadratureSpec,
-    gauss_laguerre_scaled,
     gauss_legendre_nodes,
-    laguerre_increment,
-    legendre,
-    radial_norm_constant,
 )
 
 
@@ -346,105 +342,60 @@ class TestNumericOracle:
         assert overlap_numeric(*args) == overlap_numeric(*args)
 
 
-def _reference_overlap(target, source, sp, m_rad, m_ang):
-    """One overlap on one whole (m_ang x m_rad) grid, target by target.
+def _projected_reference(oracle_reference, target, source, sp, m):
+    """The oracle's angular sum on its own folded m-node rule, with I(A) - I(1)
+    from the reference's exact integer moments at 40 digits:
+    2 pi sum_i w_i Y_t(x_i) Y_s(x_i) (I(A(x_i)) - I(1)) + delta_ts."""
+    mp = oracle_reference.mp
+    (nt, lt), (ns, ls) = target, source
+    moments = oracle_reference.radial_moments(target, source)
+    x, w = distortion._half_legendre_nodes(m)
+    with mp.workdps(40):
+        def radial(a):  # I(A) / (N_t N_s)
+            return mp.fsum(q * a**ks / (ns + nt * a) ** (p + 3)
+                           for p, row in moments.items() for ks, q in enumerate(row) if q)
 
-    The oracle's formula written out from the hydrogenics primitives, with no
-    blocking and no sharing between targets; the oracle must match it bit for
-    bit.
-    """
-    if (target.l + source.l) % 2:
-        return 0.0
-    x, w = gauss_legendre_nodes(m_ang)
-    keep = x >= 0.0
-    x, wx = x[keep], np.where(x > 0.0, 2.0 * w, w)[keep]
-    one_minus_a = distortion._strain_deviation_cos(x, sp)
-    n, n0 = target.n, source.n
-    u, w_scaled = gauss_laguerre_scaled(m_rad)
-    weights = w_scaled * np.exp(-u) * u**2
-    beta1 = n0 / (n0 + n)
-    d_beta = (n0 * n / (n0 + n)) * one_minus_a / (n0 + n - n * one_minus_a)
-    beta = (beta1 + d_beta)[:, None]
-    h = 2.0 * d_beta[:, None] * u[None, :]
-
-    def poly_increment(l, nn, y, hh):
-        lag, d_lag = laguerre_increment(nn - l - 1, 2 * l + 1, y, hh)
-        yh = y + hh
-        power, old_power, d_power = np.ones_like(yh), np.ones_like(y), np.zeros_like(yh)
-        for _ in range(l):
-            d_power = yh * d_power + hh * old_power
-            power, old_power = power * yh, old_power * y
-        return power * lag, d_power * lag + old_power * d_lag
-
-    q_t, d_q_t = poly_increment(target.l, n, 2.0 * beta1 * u, h)
-    q_s, d_q_s = poly_increment(source.l, n0, 2.0 * (1.0 - beta1) * u, -h)
-    d_beta3 = d_beta[:, None] * (beta**2 + beta * beta1 + beta1**2)
-    deviation = d_beta3 * q_t * q_s + beta1**3 * (d_q_t * q_s + (q_t - d_q_t) * d_q_s)
-    prefactor = (
-        radial_norm_constant(n, target.l) * radial_norm_constant(n0, source.l) * n**3
-    )
-    rad = prefactor * np.array([math.fsum(row.tolist()) for row in weights * deviation])
-    y_t = math.sqrt((2 * target.l + 1) / (4 * math.pi)) * legendre(target.l, x)
-    y_s = math.sqrt((2 * source.l + 1) / (4 * math.pi)) * legendre(source.l, x)
-    delta_ts = 1.0 if target == source else 0.0
-    return 2.0 * math.pi * math.fsum((wx * (y_t * y_s * rad)).tolist()) + delta_ts
-
-
-def _fine_radial(target, source, m_rad):
-    """The fine grid's radial count: the smallest exact rule, or 2 m_rad.
-
-    The radial integrand is a polynomial of degree n + n0 times e^{-u}, and an
-    m-node Gauss-Laguerre rule is exact through degree 2m - 1.  Where m_rad
-    nodes are exact, both grids use (n + n0) // 2 + 1 nodes; where they are
-    not, the fine grid doubles m_rad.
-    """
-    degree = target.n + source.n
-    return degree // 2 + 1 if degree <= 2 * m_rad - 1 else 2 * m_rad
+        s, one = mp.mpf(sp), radial(mp.mpf(1))
+        norm = oracle_reference.radial_norm(nt, lt) * oracle_reference.radial_norm(ns, ls)
+        total = mp.fsum(
+            wi * mp.legendre(lt, xi) * mp.legendre(ls, xi)
+            * (radial(oracle_reference.strain_factor(mp.mpf(xi), s)) - one)
+            for xi, wi in zip(x.tolist(), w.tolist())
+        )
+        value = mp.sqrt((2 * lt + 1) * (2 * ls + 1)) / 2 * norm * total
+        return float(value) + (1.0 if target == source else 0.0)
 
 
 class TestBatchedWindow:
-    """The window is evaluated one n at a time in angular blocks; values must not move."""
+    """The window is evaluated one n at a time, every l of that n on one
+    d = beta - beta1 and the Taylor coefficients cached per pair; values must
+    not move."""
 
-    # folded fine-grid rows: 66 -> 33, 130 -> 65, 260 -> 130 and 1000 -> 500.
-    # A block holds 6400 // m rows of an m-node radial rule: at n0 = 12 the
-    # exact rules of n = 12...16 have 13 to 15 nodes, so their 500 rows span
-    # one full block (426 to 492 rows) and end in a partial one
+    # fine angular rules of 66, 130, 260 and 1000 nodes: odd and even halves
     @pytest.mark.parametrize("n0", range(1, 13))
     @pytest.mark.parametrize("sp", [2e-3, -0.04])
     def test_decomposition_matches_per_target_formula(self, n0, sp):
-        m_rad, m_ang = (200, 500) if n0 == 12 else ((12, 33), (20, 65), (16, 130))[n0 % 3]
-        quad = QuadratureSpec(m_rad, m_ang, target_abs_tolerance=1.0)
+        m_ang = 500 if n0 == 12 else (33, 65, 130)[n0 % 3]
+        quad = QuadratureSpec(angular_node_count=m_ang, target_abs_tolerance=1.0)
         source = AtomicState(n0, n0 // 3)
         dec = numeric_decomposition(source, Strain(sp), quad)
         assert len(dec.entries) == sum(
             min(10, n - 1) + 1 for n in range(max(1, n0 - 4), n0 + 5))
+        distortion._radial_taylor.cache_clear()
         for target, c in dec.entries:
-            fine_rad = _fine_radial(target, source, m_rad)
-            assert c == _reference_overlap(target, source, sp, fine_rad, 2 * m_ang), target
+            assert c == overlap_numeric(target, source, Strain(sp), quad), target
 
     @pytest.mark.parametrize("m_ang", [3, 33, 65])
-    def test_overlap_matches_per_target_formula(self, m_ang):
-        quad = QuadratureSpec(9, m_ang, target_abs_tolerance=1.0)
+    def test_overlap_matches_per_target_formula(self, oracle_reference, m_ang):
+        # the exact radial core at a large strain, apart from the angular rule
+        quad = QuadratureSpec(angular_node_count=m_ang, target_abs_tolerance=1.0)
         for target, source in [((4, 2), (3, 0)), ((3, 0), (3, 0)), ((7, 3), (2, 1))]:
-            target, source = AtomicState(*target), AtomicState(*source)
-            value = overlap_numeric(target, source, Strain(0.2), quad)
-            fine_rad = _fine_radial(target, source, 9)
-            assert value == _reference_overlap(target, source, 0.2, fine_rad, 2 * m_ang)
-
-    def test_window_across_the_exact_degree_matches_per_target_formula(self):
-        # 2 m_rad - 1 = 9: n + 6 <= 9 keeps the 5-node rule for n = 2, 3, and
-        # every n from 4 to 10 doubles it
-        quad = QuadratureSpec(5, 33, target_abs_tolerance=1.0)
-        source = AtomicState(6, 1)
-        dec = numeric_decomposition(source, Strain(-0.04), quad)
-        assert {_fine_radial(t, source, 5) for t, _ in dec.entries} == {5, 10}
-        for target, c in dec.entries:
-            fine_rad = _fine_radial(target, source, 5)
-            assert c == _reference_overlap(target, source, -0.04, fine_rad, 66), target
+            value = overlap_numeric(AtomicState(*target), AtomicState(*source), Strain(0.2), quad)
+            expected = _projected_reference(oracle_reference, target, source, 0.2, 2 * m_ang)
+            assert value == pytest.approx(expected, rel=1e-13, abs=1e-16), (target, source)
 
     def test_default_grid_memory(self):
-        # the grid is walked in blocks of at most 6400 points; the whole-grid
-        # evaluation on the 200-node radial rule peaked at 7.8 MB here
+        # the whole-grid evaluation on the 200-node radial rule peaked at 7.8 MB
         for m in (200, 400):  # the cached rules are built outside the trace
             gauss_legendre_nodes(m)
         tracemalloc.start()
@@ -456,33 +407,38 @@ class TestBatchedWindow:
         assert peak < 3e6
 
 
-class TestRadialDoubling:
-    """Both grids use the smallest exact radial rule; where m_rad nodes are not
-    exact for n + n0, the coarse grid uses m_rad and the fine grid 2 m_rad."""
+class TestExactRadialCore:
+    """The radial integral as exact Taylor coefficients in d = beta - beta1."""
 
-    @pytest.fixture
-    def radial_sizes(self, monkeypatch):
-        sizes = []
+    # pairs across n, l and strain down to s_p = 1e-10, then the Rydberg pair
+    # the detuning claims name
+    @pytest.mark.parametrize("target,source,sp", [
+        ((3, 2), (3, 0), 1e-10),
+        ((3, 2), (3, 0), 1e-5),
+        ((5, 1), (4, 1), -0.05),
+        ((16, 4), (14, 2), -0.3),
+        ((10, 5), (12, 3), 1e-3),
+        ((32, 2), (30, 2), 1e-3),
+        ((50, 2), (50, 0), 1e-8),
+    ])
+    def test_matches_reference(self, oracle_reference, target, source, sp):
+        value = overlap_numeric(AtomicState(*target), AtomicState(*source), Strain(sp))
+        expected = float(oracle_reference.reference_overlap(target, source, sp))
+        assert abs(value - expected) <= 1e-12 * abs(expected)
 
-        def spy(m):
-            sizes.append(m)
-            return gauss_laguerre_scaled(m)
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 50, 110])
+    def test_same_n_delta_l2_first_order_is_exactly_zero(self, n):
+        # <R_{n,2}| r d/dr |R_{n,0}> = 0: the (n,2) <- (n,0) overlap is quadratic in s_p
+        coeffs, _ = distortion._radial_taylor(n, 2, n, 0)
+        assert coeffs[0] == 0.0 and coeffs[1] != 0.0
+        assert distortion._radial_taylor(n + 1, 2, n, 0)[0][0] != 0.0
 
-        monkeypatch.setattr(distortion, "gauss_laguerre_scaled", spy)
-        return sizes
-
-    @pytest.mark.parametrize(
-        "target,sizes", [((4, 2), [4]), ((5, 2), [4, 8])], ids=["2m-1", "2m"]
-    )
-    def test_boundary(self, radial_sizes, target, sizes):
-        quad = QuadratureSpec(4, 8, target_abs_tolerance=1.0)
-        overlap_numeric(AtomicState(*target), AtomicState(3, 0), Strain(1e-2), quad)
-        assert sorted(set(radial_sizes)) == sizes
-
-    def test_default_grid_asks_only_for_exact_degree_rules(self, radial_sizes):
-        # n = 1...7 around the 3s source: (n + 3) // 2 + 1 nodes, coarse and fine
-        numeric_decomposition(AtomicState(3, 0), Strain(1e-3))
-        assert radial_sizes == [(n + 3) // 2 + 1 for n in range(1, 8) for _ in "cf"]
+    def test_overflowing_coefficient_names_its_pair(self, monkeypatch):
+        coeffs, logs = distortion._radial_taylor(4, 2, 3, 0)
+        monkeypatch.setattr(distortion, "_radial_taylor", lambda *args: (
+            (math.inf, *coeffs[1:]), (1100.0, *logs[1:])))
+        with pytest.raises(OverflowError, match=r"\(4,2,0\) <- \(3,0,0\)"):
+            overlap_numeric(AtomicState(4, 2), AtomicState(3, 0), Strain(1e-3))
 
 
 class TestSpectralDecompositionType:

@@ -13,7 +13,6 @@ from gravatom.hydrogenics import (
     gauss_laguerre_scaled,
     gauss_legendre_nodes,
     laguerre,
-    laguerre_increment,
     legendre,
     radial_nodes,
     radial_norm_constant,
@@ -74,43 +73,6 @@ class TestLaguerre:
             laguerre(-1, 0, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, -1, 1.0)
-
-
-class TestLaguerreIncrement:
-    def test_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(200):
-            order = int(rng.integers(0, 16))
-            alpha = int(rng.integers(0, 10))
-            x = float(rng.uniform(0.0, 40.0))
-            h = x * float(rng.choice([-1e-3, 1e-7, -1e-12, 0.2]))
-            value, inc = laguerre_increment(order, alpha, x, h)
-            with mp.workdps(40):
-                new = mp.laguerre(order, alpha, mp.mpf(x) + mp.mpf(h))
-                ref_inc = new - mp.laguerre(order, alpha, x)
-                slope = mp.diff(lambda t: mp.laguerre(order, alpha, t), x)
-            # the increment is accurate relative to its first-order size |h L'|,
-            # not merely to the O(1) values it is the difference of
-            scale = max(abs(ref_inc), abs(h) * max(1.0, abs(slope)))
-            worst = max(worst, float(abs(inc - ref_inc) / scale))
-            assert float(value) == pytest.approx(float(new), rel=1e-11, abs=1e-11)
-        assert worst < 1e-11
-
-    def test_zero_step_and_broadcasting(self):
-        x = np.linspace(0.0, 10.0, 5)
-        h = np.array([[0.0], [1e-9]])
-        value, inc = laguerre_increment(6, 3, x, h)
-        assert value.shape == inc.shape == (2, 5)
-        assert np.array_equal(value[0], laguerre(6, 3, x))
-        assert not inc[0].any()
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError):
-            laguerre_increment(-1, 0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            laguerre_increment(2, -1, 1.0, 0.1)
 
 
 class TestLegendre:
@@ -175,6 +137,22 @@ class TestSphericalHarmonic:
             w, spherical_harmonic_m0(l, theta) * spherical_harmonic_m0(lp, theta)
         )
         assert val == pytest.approx(1.0 if l == lp else 0.0, abs=1e-12)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("m", [2, 3, 64, 65, 400, 2048])
+    def test_exact_symmetric_and_at_numpys_nodes(self, m):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = gauss_legendre_nodes(m)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.max(np.abs(x - leggauss(m)[0])) <= 2.3e-16
+        # int_-1^1 P_l dx = 2 delta_l0, exact through degree 2m - 1
+        for l in (0, 2, 4, 40):
+            if l <= 2 * m - 1:
+                expected = 2.0 if l == 0 else 0.0
+                assert abs(math.fsum((w * legendre(l, x)).tolist()) - expected) <= 2e-15, l
 
 
 class TestGaussLaguerreScaled:

@@ -18,8 +18,8 @@ from gravatom.rabi import (
     deviation_short_time,
     deviation_small_detuning,
     excited_probability,
+    figure2_config,
     figure2_rows,
-    figure2_series,
 )
 from gravatom.transitions import make_transition
 
@@ -148,35 +148,40 @@ class TestRegime:
         assert cfg.regime(1e30) is Regime.SHORT_TIME
 
 
+def _figure2(n_cycles):
+    """figure2_config and figure2_rows of the 50S-51P curve at 47 kHz: (cfg, rows, metadata)."""
+    t = make_transition(AtomicState(50, 0), AtomicState(51, 1))
+    cfg, metadata = figure2_config(t, Strain(1e-20), 2.0 * math.pi * 47e3)
+    return cfg, list(figure2_rows(cfg, n_cycles)), metadata
+
+
 class TestFigure2Series:
-    def _series(self, n_cycles=200):
-        t = make_transition(AtomicState(50, 0), AtomicState(51, 1))
-        return figure2_series(t, Strain(1e-20), 2.0 * math.pi * 47e3, n_cycles)
+    """The figure-2 curve of a strained transition; rows are
+    (n, t, at_cycles, exact, small_detuning, short_time, regime)."""
 
     def test_quadratic_growth(self):
-        ser = self._series()
+        _, rows, _ = _figure2(200)
         # |deltaP(N)| = |deltaP(1)| * N^2 at these detunings
-        assert abs(ser.exact[99]) / abs(ser.exact[0]) == pytest.approx(1e4, rel=1e-6)
+        assert abs(rows[99][3]) / abs(rows[0][3]) == pytest.approx(1e4, rel=1e-6)
 
     def test_monotone_magnitude(self):
-        ser = self._series()
-        mags = [abs(v) for v in ser.exact]
+        _, rows, _ = _figure2(200)
+        mags = [abs(row[3]) for row in rows]
         assert all(a < b for a, b in zip(mags, mags[1:]))
 
     def test_metadata_complete(self):
-        ser = self._series(5)
+        _, _, metadata = _figure2(5)
         for key in ("lower", "upper", "strain", "omega_rad_s", "detuning_rad_s"):
-            assert key in ser.metadata
+            assert key in metadata
 
     def test_empty_series(self):
-        ser = self._series(0)
-        assert ser.abscissa == ()
-        assert ser.exact == ()
+        _, rows, _ = _figure2(0)
+        assert rows == []
 
     def test_exact_vs_cycle_formula_magnitude(self):
-        ser = self._series(10)
-        for e, a in zip(ser.exact, ser.at_cycles):
-            assert abs(e) == pytest.approx(a, rel=1e-6)
+        _, rows, _ = _figure2(10)
+        for row in rows:
+            assert abs(row[3]) == pytest.approx(row[2], rel=1e-6)
 
 
 def _bits(value):
@@ -240,10 +245,6 @@ class TestFigure2Rows:
                 figure2_rows(cfg, 3)
 
     def test_series_materialises_the_rows(self):
-        t = make_transition(AtomicState(50, 0), AtomicState(51, 1))
-        ser = figure2_series(t, Strain(1e-20), 2.0 * math.pi * 47e3, 300)
-        rows = _scalar_rows(ser.config, 300)
-        assert ser.abscissa == tuple(r[0] for r in rows)
-        assert ser.exact == tuple(r[3] for r in rows)
-        assert ser.small_detuning == tuple(r[4] for r in rows)
-        assert ser.regime_flags == tuple(Regime(r[6]) for r in rows)
+        cfg, rows, _ = _figure2(300)
+        assert [tuple(map(_bits, row)) for row in rows] == [
+            tuple(map(_bits, row)) for row in _scalar_rows(cfg, 300)]
